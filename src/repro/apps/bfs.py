@@ -34,19 +34,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..cluster.cluster import Cluster, ClusterConfig
+from ..cluster.scenario import paired_config, run_scenario, runs_partitioned
 from ..runtime.barrier import Barrier
 from ..runtime.layout import MessagingConfig
 from ..runtime.messaging import Messenger
 from ..runtime.qp_api import RMCSession
-from ..sim import (
-    PartitionPlan,
-    default_transport,
-    plan_from_spec,
-    run_partitioned,
-)
+from ..sim import PartitionPlan
 from ..telemetry import merge_snapshots, snapshot
 from .graph import Graph, partition_random
-from .pagerank import _paired_config, _resolve_plan
 
 __all__ = ["bfs_reference", "run_bfs_fine", "run_bfs_push", "BFSResult"]
 
@@ -345,9 +340,8 @@ def run_bfs_push(graph: Graph, num_nodes: int, source: int = 0,
     conservative parallel engine (``workers > 1`` or an explicit
     ``partition`` plan) with bit-identical results.
     """
-    plan = _resolve_plan(num_nodes, workers, partition)
-    if plan is not None:
-        config = _paired_config(cluster_config, num_nodes)
+    if runs_partitioned(workers, partition):
+        config = paired_config(cluster_config, num_nodes)
 
         def build(rank: int, build_plan: PartitionPlan):
             setup = _BFSSetup(graph, num_nodes, config, seed,
@@ -380,16 +374,12 @@ def run_bfs_push(graph: Graph, num_nodes: int, source: int = 0,
 
             return sim, setup.cluster.fabric, finalize
 
-        if isinstance(plan, str):
-            plan = plan_from_spec(plan, build, num_nodes,
-                                  workers or num_nodes)
-        if transport is None:
-            transport = default_transport(plan.num_parts)
-        run = run_partitioned(build, plan, transport=transport)
-        parts = [run.results[r] for r in sorted(run.results)]
+        run = run_scenario(build, num_nodes, workers,
+                           partition or "contiguous", transport)
+        parts = run.parts
         distances = _merge_push_results(graph, parts)
         merged = merge_snapshots([p["snapshot"] for p in parts],
-                                 engine_stats=run.engine_stats())
+                                 engine_stats=run.perf["engine"])
         return BFSResult(variant="bfs-push", parallelism=num_nodes,
                          distances=distances, elapsed_ns=run.final_time,
                          levels=max((d for d in distances if d >= 0),

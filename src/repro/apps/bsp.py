@@ -29,16 +29,16 @@ Two programs ship with the engine: :class:`PageRankProgram`
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from ..cluster.cluster import Cluster, ClusterConfig
+from ..cluster.scenario import paired_config, run_scenario
 from ..resilience.checkpoint import HEADER_BYTES, StripedCheckpointStore
 from ..resilience.coding import parse_checkpoint_mode
 from ..runtime.barrier import Barrier, NodeEvicted, RankFailed
 from ..runtime.qp_api import RemoteOpFailed, RMCSession
-from ..sim import (PartitionError, PartitionPlan, default_transport,
-                   plan_from_spec, run_partitioned)
+from ..sim import PartitionError, PartitionPlan
 from .graph import Graph, partition_random
 
 __all__ = ["VertexProgram", "BSPEngine", "BSPResult",
@@ -62,18 +62,6 @@ _CTRL_DURABLE = 192    # u64: 1 + durable local checkpoint header
 _CTRL_ADOPT_DUR = 256  # u64: 1 + durable peer-region header
 _CTRL_PLAN = 320       # 3 x u64: (dead-mask << 1) | 1, restore, generation
 _CTRL_FINISHED = 384   # u64: 1 once this node returned successfully
-
-
-def _paired_cluster_config(config: Optional[ClusterConfig],
-                           num_nodes: int) -> ClusterConfig:
-    """The caller's config upgraded to paired flow control, which the
-    partition cut requires (see fabric.partition)."""
-    config = config or ClusterConfig(num_nodes=num_nodes)
-    if config.fabric.flow_control != "paired":
-        config = _dc_replace(
-            config, fabric=_dc_replace(config.fabric,
-                                       flow_control="paired"))
-    return config
 
 
 class VertexProgram(Protocol):
@@ -445,11 +433,7 @@ class FaultTolerantBSPEngine(BSPEngine):
             interval_ns=hb_interval_ns, lease_ns=lease_ns,
             on_evict=self._note_eviction)
         self.controller = self.cluster.fault_controller(seed=fault_seed)
-        for entry in self.crash_schedule:
-            victim, at_ns = entry[0], entry[1]
-            restart_after = entry[2] if len(entry) > 2 else None
-            self.controller.schedule_crash(victim, at_ns=at_ns,
-                                           restart_after_ns=restart_after)
+        self.controller.schedule_crashes(self.crash_schedule)
         #: Striped coded checkpoint store (None in replica mode).
         self.ckpt_store: Optional[StripedCheckpointStore] = None
         if self.ckpt_code is not None:
@@ -996,8 +980,7 @@ class FaultTolerantBSPEngine(BSPEngine):
         itself is bit-identical across worker counts and transports."""
         deferred = self._deferred
         num_nodes = self.num_nodes
-        config = _paired_cluster_config(deferred["cluster_config"],
-                                        num_nodes)
+        config = paired_config(deferred["cluster_config"], num_nodes)
 
         def build(rank: int, build_plan: PartitionPlan):
             engine = FaultTolerantBSPEngine(
@@ -1013,17 +996,15 @@ class FaultTolerantBSPEngine(BSPEngine):
             return engine._start_rank(program, max_supersteps,
                                       stop_on_convergence, tolerance)
 
-        plan = plan_from_spec(self.partition_spec, build, num_nodes,
-                              min(self.workers, num_nodes))
-        transport = self.transport or default_transport(plan.num_parts)
-        run = run_partitioned(build, plan, transport=transport)
-        parts = [run.results[r] for r in sorted(run.results)]
+        run = run_scenario(build, num_nodes, self.workers,
+                           self.partition_spec, self.transport)
+        parts = run.parts
         values = [0.0] * self.graph.num_vertices
         for part in parts:
             for vertex, value in part["values"].items():
                 values[vertex] = value
         steps_run = max(part["steps_run"] for part in parts)
-        stats = run.engine_stats()
+        stats = run.perf["engine"]
         stats["membership"] = {
             "evictions": max(part["evictions"] for part in parts),
             "rejoins": max(part["rejoins"] for part in parts),

@@ -5,10 +5,11 @@ The node-failure tests exercise the fault-tolerant KV stack
 :class:`~repro.apps.kvstore.CodedKVServer`,
 :class:`~repro.apps.kvstore.FailoverKVClient`) on a serial cluster.
 This module packages the same scenario as a *harness* that also runs on
-the conservative parallel engine: the cluster is split across worker
-processes with :func:`~repro.sim.parallel.run_partitioned`, the client
-and the primary typically land on different ranks, and every GET/PUT
-crosses the partition cut as one-sided fabric traffic.
+the conservative parallel engine: the shared scaffold
+(:mod:`repro.cluster.scenario`) splits the cluster across worker
+processes, the client and the primary typically land on different
+ranks, and every GET/PUT crosses the partition cut as one-sided fabric
+traffic.
 
 Roles are fixed by node id — node 0 is the GET client, node 1 the
 primary, nodes 2.. the backups (full replicas in ``replicated`` mode,
@@ -33,15 +34,12 @@ assert.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
-from ..cluster.cluster import Cluster, ClusterConfig
+from ..cluster.scenario import paired_config, rank_cluster, run_scenario
 from ..resilience.coding import XORCode
 from ..runtime.qp_api import RemoteOpFailed, RMCSession
-from ..sim import (Simulator, default_transport, plan_from_spec,
-                   run_partitioned)
 from ..vm.address import PAGE_SIZE
-from .bsp import _paired_cluster_config
 from .kvstore import CodedKVServer, FailoverKVClient, ReplicatedKVServer
 
 __all__ = ["run_kv_failover", "KV_CLIENT", "KV_PRIMARY"]
@@ -92,23 +90,15 @@ def run_kv_failover(num_nodes: int = 3,
         code = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    schedule: Sequence[Tuple] = ()
-    if crash_primary_at_ns is not None:
-        schedule = ((KV_PRIMARY, crash_primary_at_ns, restart_after_ns),)
+    crashes = (() if crash_primary_at_ns is None else
+               ((KV_PRIMARY, crash_primary_at_ns, restart_after_ns),))
     keys = {k: _value_of(k) for k in range(1, num_keys + 1)}
-    config = _paired_cluster_config(ClusterConfig(num_nodes=num_nodes),
-                                    num_nodes)
+    config = paired_config(None, num_nodes)
 
     def build(rank, plan):
-        sim = Simulator()
-        cluster = Cluster(sim=sim, config=config, partition=plan,
-                          rank=rank)
-        membership = cluster.enable_membership(interval_ns=hb_interval_ns,
-                                               lease_ns=lease_ns)
-        controller = cluster.fault_controller(seed=fault_seed)
-        for victim, at_ns, restart in schedule:
-            controller.schedule_crash(victim, at_ns=at_ns,
-                                      restart_after_ns=restart)
+        cluster = rank_cluster(config, plan, rank, hb_interval_ns,
+                               lease_ns, fault_seed, crashes)
+        sim, membership = cluster.sim, cluster.membership
         gctx = cluster.create_global_context(_KV_CTX, 64 * PAGE_SIZE)
         sessions = {
             node.node_id: RMCSession(node.core, gctx.qp(node.node_id),
@@ -177,42 +167,19 @@ def run_kv_failover(num_nodes: int = 3,
             sim.process(client_proc(sim), name="kv-client")
 
         def finalize():
-            out.setdefault("membership", {})
             out["membership"] = {"evictions": membership.evictions,
                                  "rejoins": membership.rejoins}
             return out
 
         return sim, cluster.fabric, finalize
 
-    plan = plan_from_spec(partition, build, num_nodes,
-                          min(int(workers) or 1, num_nodes))
-    transport = transport or default_transport(plan.num_parts)
-    run = run_partitioned(build, plan, transport=transport)
-
-    merged = {"final_time": run.final_time, "mode": mode,
-              "num_nodes": num_nodes}
-    for part in run.results.values():
-        for field in ("puts_done_ns", "puts_acked", "replica_writes",
-                      "final", "reads", "wrong", "unavailable",
-                      "availability", "active_replica"):
-            if field in part:
-                merged[field] = part[field]
-        # Membership counters are replicated state: every rank observes
-        # the identical eviction/rejoin sequence.
-        merged["membership"] = part["membership"]
+    run = run_scenario(build, num_nodes, workers, partition, transport)
+    merged = run.merged({"final_time": run.final_time, "mode": mode,
+                         "num_nodes": num_nodes})
     if merged.get("puts_done_ns", 0.0) > gets_start_ns:
         raise RuntimeError(
             f"PUT phase ran until {merged['puts_done_ns']} ns, past "
             f"gets_start_ns={gets_start_ns}; widen the gap to keep the "
             f"scenario's phases time-ordered")
     merged["values_ok"] = merged.get("final") == keys
-    return {
-        "outcome": merged,
-        "perf": {
-            "transport": run.transport,
-            "workers": plan.num_parts,
-            "rounds": run.rounds,
-            "wall_s": run.wall_s,
-            "engine": run.engine_stats(),
-        },
-    }
+    return {"outcome": merged, "perf": run.perf}

@@ -38,6 +38,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from ..cluster.membership import is_member_live
 from ..resilience.coding import ErasureCode
 from ..runtime.qp_api import RemoteOpFailed, RMCSession
 from ..sim import LatencyStat
@@ -435,8 +436,7 @@ class FailoverKVClient(KVClient):
         last_error: Optional[RemoteOpFailed] = None
         for _ in range(len(self.replicas)):
             target = self.replicas[self.current]
-            if self.membership is not None \
-                    and not self.membership.is_live(target):
+            if not is_member_live(self.membership, target):
                 self.availability.evicted_skips += 1
                 self._fail_over()
                 continue
@@ -479,8 +479,7 @@ class FailoverKVClient(KVClient):
         replicas)."""
         holders = []
         for index, nid in enumerate(self.shard_nids):
-            if self.membership is not None \
-                    and not self.membership.is_live(nid):
+            if not is_member_live(self.membership, nid):
                 self.availability.evicted_skips += 1
                 continue
             holders.append((index, nid))

@@ -24,20 +24,15 @@ the RMC and the final ranks are checked against the untimed reference.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..baselines.shm import build_shm_node
 from ..cluster.cluster import Cluster, ClusterConfig
+from ..cluster.scenario import paired_config, run_scenario, runs_partitioned
 from ..runtime.barrier import Barrier
 from ..runtime.qp_api import RMCSession
-from ..sim import (
-    PartitionPlan,
-    Simulator,
-    default_transport,
-    plan_from_spec,
-    run_partitioned,
-)
+from ..sim import PartitionPlan, Simulator
 from ..telemetry import merge_snapshots, snapshot
 from .graph import Graph, Partition, partition_random
 
@@ -306,26 +301,13 @@ def _bulk_worker(setup: _SoNUMASetup, node_id: int, num_nodes: int,
     yield from barrier.wait()
 
 
-def _paired_config(cluster_config: Optional[ClusterConfig],
-                   num_nodes: int) -> ClusterConfig:
-    """The caller's config upgraded to paired flow control (required by
-    the partition cut; see fabric.partition)."""
-    config = cluster_config or ClusterConfig(num_nodes=num_nodes)
-    if config.fabric.flow_control != "paired":
-        config = _dc_replace(
-            config, fabric=_dc_replace(config.fabric,
-                                       flow_control="paired"))
-    return config
-
-
 def _run_partitioned_pagerank(variant: str, worker_fn, graph: Graph,
                               num_nodes: int, supersteps: int,
                               timing: PageRankTiming,
                               cluster_config: Optional[ClusterConfig],
-                              seed: int, plan, transport: Optional[str],
-                              num_parts: Optional[int] = None
-                              ) -> PageRankResult:
-    config = _paired_config(cluster_config, num_nodes)
+                              seed: int, workers: Optional[int], partition,
+                              transport: Optional[str]) -> PageRankResult:
+    config = paired_config(cluster_config, num_nodes)
 
     def build(rank: int, build_plan: PartitionPlan):
         setup = _SoNUMASetup(graph, num_nodes, config, seed,
@@ -352,13 +334,9 @@ def _run_partitioned_pagerank(variant: str, worker_fn, graph: Graph,
 
         return sim, setup.cluster.fabric, finalize
 
-    if isinstance(plan, str):
-        plan = plan_from_spec(plan, build, num_nodes,
-                              num_parts or num_nodes)
-    if transport is None:
-        transport = default_transport(plan.num_parts)
-    run = run_partitioned(build, plan, transport=transport)
-    parts = [run.results[r] for r in sorted(run.results)]
+    run = run_scenario(build, num_nodes, workers,
+                       partition or "contiguous", transport)
+    parts = run.parts
     # Vertex ownership is disjoint across workers, so the per-worker
     # rank lists (0.0 for unowned vertices) sum element-wise.
     ranks = [0.0] * graph.num_vertices
@@ -366,26 +344,12 @@ def _run_partitioned_pagerank(variant: str, worker_fn, graph: Graph,
         for v, value in enumerate(part["ranks"]):
             ranks[v] += value
     merged = merge_snapshots([p["snapshot"] for p in parts],
-                             engine_stats=run.engine_stats())
+                             engine_stats=run.perf["engine"])
     return PageRankResult(
         variant=f"sonuma-{variant}", parallelism=num_nodes,
         supersteps=supersteps, elapsed_ns=run.final_time, ranks=ranks,
         remote_reads=sum(p["remote_reads"] for p in parts),
         telemetry=merged)
-
-
-def _resolve_plan(num_nodes: int, workers: Optional[int], partition):
-    """A concrete plan, a deferred spec string ("adaptive"/"contiguous",
-    resolved once the builder exists), or None for the serial path."""
-    if isinstance(partition, PartitionPlan):
-        return partition
-    if isinstance(partition, str):
-        if workers is None or workers <= 1:
-            return None
-        return partition
-    if workers is not None and workers > 1:
-        return PartitionPlan.contiguous(num_nodes, workers)
-    return None
 
 
 def run_sonuma_bulk(graph: Graph, num_nodes: int, supersteps: int = 1,
@@ -404,11 +368,10 @@ def run_sonuma_bulk(graph: Graph, num_nodes: int, supersteps: int = 1,
     (profiled load-aware cut); ``transport=None`` picks the fastest
     available (shm > process > inline).
     """
-    plan = _resolve_plan(num_nodes, workers, partition)
-    if plan is not None:
+    if runs_partitioned(workers, partition):
         return _run_partitioned_pagerank(
             "bulk", _bulk_worker, graph, num_nodes, supersteps, timing,
-            cluster_config, seed, plan, transport, num_parts=workers)
+            cluster_config, seed, workers, partition, transport)
     setup = _SoNUMASetup(graph, num_nodes, cluster_config, seed)
     sim = setup.cluster.sim
     remote_reads = [0]
@@ -512,11 +475,10 @@ def run_sonuma_fine(graph: Graph, num_nodes: int, supersteps: int = 1,
     results, one worker process per partition. ``partition`` and
     ``transport`` as in :func:`run_sonuma_bulk`.
     """
-    plan = _resolve_plan(num_nodes, workers, partition)
-    if plan is not None:
+    if runs_partitioned(workers, partition):
         return _run_partitioned_pagerank(
             "fine", _fine_worker, graph, num_nodes, supersteps, timing,
-            cluster_config, seed, plan, transport, num_parts=workers)
+            cluster_config, seed, workers, partition, transport)
     setup = _SoNUMASetup(graph, num_nodes, cluster_config, seed)
     sim = setup.cluster.sim
     remote_reads = [0]

@@ -270,6 +270,14 @@ class NodeFaultController:
 
         sim.process(_timeline(), name=f"faults.crash{node_id}")
 
+    def schedule_crashes(self, schedule: Sequence[Sequence]) -> None:
+        """:meth:`schedule_crash` every ``(node_id, at_ns[,
+        restart_after_ns])`` entry, in order — the replicated crash
+        timeline of a partitioned scenario."""
+        for node_id, at_ns, *restart in schedule:
+            self.schedule_crash(node_id, at_ns,
+                                restart[0] if restart else None)
+
     def schedule_gray(self, node_id: int, at_ns: float,
                       duration_ns: Optional[float] = None) -> None:
         """Gray-fail the node at ``at_ns``; optionally restore after

@@ -35,7 +35,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 __all__ = ["MemberState", "MemberRecord", "MembershipService",
-           "ScheduledMembership"]
+           "ScheduledMembership", "is_member_live"]
+
+
+def is_member_live(membership, node_id: int) -> bool:
+    """Whether the control plane counts ``node_id`` as live; without a
+    membership service every node does."""
+    return membership is None or membership.is_live(node_id)
 
 
 class MemberState(enum.Enum):

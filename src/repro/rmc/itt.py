@@ -91,6 +91,9 @@ class InflightTransactionTable:
         # survive in the fabric — which is what makes the tid a safe
         # transaction identity for retransmission and reply dedup.
         self._free_tids: Deque[int] = deque(range(capacity))
+        #: Free tids promised to admitted requests whose generation has
+        #: not allocated yet (see :meth:`reserve`).
+        self._reserved = 0
         self.allocated_total = 0
         self.peak_in_flight = 0
 
@@ -100,7 +103,17 @@ class InflightTransactionTable:
 
     @property
     def has_free(self) -> bool:
-        return bool(self._free_tids)
+        """Whether a tid is free and not already reserved."""
+        return len(self._free_tids) > self._reserved
+
+    def reserve(self) -> None:
+        """Promise one free tid to a request the RGP just admitted; its
+        :meth:`allocate` consumes the promise. Without this, every entry
+        of one doorbell batch would pass :attr:`has_free` before the
+        first of them allocated."""
+        if not self.has_free:
+            raise ITTFullError(f"all {self.capacity} tids in flight")
+        self._reserved += 1
 
     def allocate(self, qp: QueuePair, wq_index: int, op: Opcode,
                  base_offset: int, local_vaddr: int,
@@ -117,6 +130,8 @@ class InflightTransactionTable:
         if total_lines < 1:
             raise ValueError("a request must cover at least one line")
         tid = self._free_tids.popleft()
+        if self._reserved:
+            self._reserved -= 1
         entry = ITTEntry(tid=tid, qp=qp, wq_index=wq_index, op=op,
                          base_offset=base_offset, local_vaddr=local_vaddr,
                          total_lines=total_lines, wq_entry=wq_entry,

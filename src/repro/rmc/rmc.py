@@ -317,9 +317,11 @@ class RMC:
                     if index is None:
                         break
                     if not self.itt.has_free:
-                        # All tids in flight: a retirement will wake us.
+                        # All tids in flight or promised to entries
+                        # still generating: a retirement will wake us.
                         break
                     found_work = True
+                    self.itt.reserve()
                     wq_entry = qp.wq.consume(index)
                     consumed += 1
                     if consumed > 1:

@@ -10,30 +10,28 @@ shard — the paper's one-QP-per-core model (§4.3) — drives the open-loop
 Zipf/Poisson trace from :mod:`~.loadgen`, multiplexing the logical
 client population over pipelined, doorbell-batched sessions.
 
-Like the other harnesses (:func:`~repro.apps.kv_harness.run_kv_failover`,
-BSP), the same scenario runs serially or split across worker processes
-with :func:`~repro.sim.parallel.run_partitioned`. Everything the
-``outcome`` dict reports is a pure function of the arguments: the trace
-is regenerated identically on every rank, table preloads are
-deterministic, membership transitions replay from the replicated fault
-schedule, and the latency histograms count integers — so the merged
-outcome is bit-identical for any worker count and transport, including
-chaos runs that crash a shard primary mid-trace.
+Like every partitioned scenario it runs on the shared scaffold
+(:mod:`repro.cluster.scenario`), serially or split across worker
+processes. Everything the ``outcome`` dict reports is a pure function
+of the arguments: the trace is regenerated identically on every rank,
+table preloads are deterministic, membership transitions replay from
+the replicated fault schedule, and the latency histograms count
+integers — so the merged outcome is bit-identical for any worker count
+and transport, including chaos runs that crash a shard primary
+mid-trace.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..apps.bsp import _paired_cluster_config
 from ..apps.kvstore import BUCKET_BYTES, _bucket_index, _pack_bucket
-from ..cluster.cluster import Cluster, ClusterConfig
-from ..fabric.faults import FaultInjector
+from ..cluster.cluster import ClusterConfig
+from ..cluster.scenario import (flap_front_end, paired_config,
+                                rank_cluster, run_scenario)
 from ..node.node import NodeConfig
 from ..rmc.rmc import RMCConfig
 from ..runtime.qp_api import RMCSession
-from ..sim import (Simulator, default_transport, plan_from_spec,
-                   run_partitioned)
 from ..telemetry import LogLinearHistogram
 from ..transport import (DegradationTimeline, HealthConfig, MemoryStore,
                          TransportStack, build_transport)
@@ -176,10 +174,9 @@ def run_serving(num_shards: int = 2,
     tables = {s: _build_table(shard_keys[s], num_buckets, max_probes)
               for s in range(num_shards)}
 
-    schedule: Sequence[Tuple] = ()
-    if crash_shard is not None:
-        schedule = ((shard_map.shard_nodes[crash_shard], crash_at_ns,
-                     restart_after_ns),)
+    crashes = (() if crash_shard is None else
+               ((shard_map.shard_nodes[crash_shard], crash_at_ns,
+                 restart_after_ns),))
 
     # A flapping fabric needs snappy error completions (the stock
     # 100 us retransmit budget would outlast the whole trace); explicit
@@ -194,7 +191,7 @@ def run_serving(num_shards: int = 2,
         rmc_kwargs["max_retries"] = max_retries
     elif failover is not None:
         rmc_kwargs["max_retries"] = 1
-    config = _paired_cluster_config(
+    config = paired_config(
         ClusterConfig(num_nodes=num_nodes,
                       node=NodeConfig(rmc=RMCConfig(**rmc_kwargs))),
         num_nodes)
@@ -206,26 +203,12 @@ def run_serving(num_shards: int = 2,
     probe_until = max(duration_ns, flap_end) + 30_000.0
 
     def build(rank, plan):
-        sim = Simulator()
-        cluster = Cluster(sim=sim, config=config, partition=plan,
-                          rank=rank)
-        membership = cluster.enable_membership(interval_ns=hb_interval_ns,
-                                               lease_ns=lease_ns)
-        controller = cluster.fault_controller(seed=fault_seed)
-        for victim, at_ns, restart in schedule:
-            controller.schedule_crash(victim, at_ns=at_ns,
-                                      restart_after_ns=restart)
+        cluster = rank_cluster(config, plan, rank, hb_interval_ns,
+                               lease_ns, fault_seed, crashes)
+        sim, membership = cluster.sim, cluster.membership
         if flap_at_ns is not None:
-            # Replicated identically on every rank: the partitioned
-            # crossbar re-checks reachability at frame delivery.
-            injector = FaultInjector(seed=fault_seed,
-                                     per_link_streams=True)
-            cluster.fabric.install_fault_injector(injector)
-            for cycle in range(flap_cycles):
-                at = flap_at_ns + cycle * flap_period_ns
-                for nid in range(1, num_nodes):
-                    injector.flap_link(SERVING_CLIENT, nid, after_ns=at,
-                                       down_ns=flap_down_ns)
+            flap_front_end(cluster, SERVING_CLIENT, fault_seed, flap_at_ns,
+                           flap_cycles, flap_period_ns, flap_down_ns)
         qps_per_node = num_shards + (1 if failover is not None else 0)
         gctx = cluster.create_global_context(_SERVING_CTX, segment_size,
                                              qps_per_node=qps_per_node)
@@ -323,12 +306,8 @@ def run_serving(num_shards: int = 2,
 
         return sim, cluster.fabric, finalize
 
-    plan = plan_from_spec(partition, build, num_nodes,
-                          min(int(workers) or 1, num_nodes))
-    transport = transport or default_transport(plan.num_parts)
-    run = run_partitioned(build, plan, transport=transport)
-
-    merged = {
+    run = run_scenario(build, num_nodes, workers, partition, transport)
+    merged = run.merged({
         "final_time": run.final_time,
         "num_shards": num_shards,
         "replication": replication,
@@ -337,28 +316,10 @@ def run_serving(num_shards: int = 2,
         "distinct_clients": len({r.client_id for r in trace}),
         "trace_digest": digest,
         "shard_map_version": shard_map.version,
-    }
-    for part in run.results.values():
-        for field in ("shards", "latency", "served", "failed",
-                      "availability", "wrong", "doorbells", "posted",
-                      "served_mops", "degraded_reads", "transport",
-                      "timeline"):
-            if field in part:
-                merged[field] = part[field]
-        # Replicated control-plane state: identical on every rank.
-        merged["membership"] = part["membership"]
+    })
     if "served" in merged \
             and merged["served"] + merged["failed"] != len(trace):
         raise RuntimeError(
             f"served {merged['served']} + failed {merged['failed']} != "
             f"{len(trace)} requests: the serve loop dropped arrivals")
-    return {
-        "outcome": merged,
-        "perf": {
-            "transport": run.transport,
-            "workers": plan.num_parts,
-            "rounds": run.rounds,
-            "wall_s": run.wall_s,
-            "engine": run.engine_stats(),
-        },
-    }
+    return {"outcome": merged, "perf": run.perf}

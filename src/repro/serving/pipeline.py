@@ -32,7 +32,8 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence
 
 from ..apps.kvstore import (AvailabilityStats, BUCKET_BYTES, KVStats,
-                            _unpack_bucket)
+                            _bucket_index, _unpack_bucket)
+from ..cluster.membership import is_member_live
 from ..runtime.qp_api import RemoteOpFailed, RMCSession
 from ..telemetry import LogLinearHistogram
 
@@ -108,8 +109,7 @@ class PipelinedShardClient:
         while flight.remaining:
             index = flight.remaining.pop(0)
             nid = self.replicas[index]
-            if self.membership is not None \
-                    and not self.membership.is_live(nid):
+            if not is_member_live(self.membership, nid):
                 self.availability.evicted_skips += 1
                 continue
             flight.target = index
@@ -118,7 +118,6 @@ class PipelinedShardClient:
         return False
 
     def _bucket_offset(self, key: int, probe: int) -> int:
-        from ..apps.kvstore import _bucket_index
         slot = (_bucket_index(key, self.num_buckets) + probe) \
             % self.num_buckets
         return self.table_offset + slot * BUCKET_BYTES

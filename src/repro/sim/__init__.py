@@ -25,7 +25,7 @@ from .parallel import (
     run_partitioned,
 )
 from .resources import Channel, Resource, Store
-from .stats import Counter, Histogram, LatencyStat, ThroughputMeter
+from .stats import Counter, LatencyStat, ThroughputMeter
 
 __all__ = [
     "AllOf",
@@ -33,7 +33,6 @@ __all__ = [
     "Channel",
     "Counter",
     "Event",
-    "Histogram",
     "LatencyStat",
     "PartitionError",
     "PartitionPlan",

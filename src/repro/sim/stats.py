@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-__all__ = ["LatencyStat", "ThroughputMeter", "Counter", "Histogram"]
+__all__ = ["LatencyStat", "ThroughputMeter", "Counter"]
 
 
 class LatencyStat:
@@ -171,40 +171,3 @@ class Counter:
         """numerator/denominator counters (0.0 when denominator is 0)."""
         denom = self._counts.get(denominator, 0)
         return self._counts.get(numerator, 0) / denom if denom else 0.0
-
-
-class Histogram:
-    """Fixed-bucket histogram for latency distributions (ablation benches)."""
-
-    def __init__(self, bucket_width: float, name: str = ""):
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        self.bucket_width = bucket_width
-        self.name = name
-        self.buckets: Dict[int, int] = {}
-        self.count = 0
-
-    def record(self, value: float) -> None:
-        """Drop one sample into its bucket."""
-        index = int(value // self.bucket_width)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-        self.count += 1
-
-    def bucket_bounds(self, index: int) -> tuple:
-        """(low, high) value bounds of bucket ``index``."""
-        return (index * self.bucket_width, (index + 1) * self.bucket_width)
-
-    def mode_bucket(self) -> Optional[tuple]:
-        """(low, high) bounds of the most populated bucket."""
-        if not self.buckets:
-            return None
-        index = max(self.buckets, key=lambda k: self.buckets[k])
-        return self.bucket_bounds(index)
-
-    def cumulative_fraction_below(self, value: float) -> float:
-        """Fraction of samples strictly below ``value``'s bucket."""
-        if self.count == 0:
-            return 0.0
-        limit = int(value // self.bucket_width)
-        below = sum(n for idx, n in self.buckets.items() if idx < limit)
-        return below / self.count

@@ -8,15 +8,15 @@ peer) link mid-run — the primary fabric goes dark, health probes catch
 it, the policy fails the session over, and on restore it fails back
 and catch-up-replays the degraded-era writes onto the real segments.
 
-Like :func:`~repro.serving.harness.run_serving`, the same scenario
-runs serially or under :func:`~repro.sim.parallel.run_partitioned`
-with a bit-identical outcome at any worker count: the op trace, flap
-schedule, and expected final segment digests are pure functions of the
-arguments; all failover-session activity lives on the front end's
-rank; flaps are scheduled identically on every rank (the partitioned
-crossbar re-checks reachability at delivery); and membership is the
-scheduled (deterministic) variant so flapping links never trigger
-evictions.
+Like :func:`~repro.serving.harness.run_serving`, the scenario runs on
+the shared scaffold (:mod:`repro.cluster.scenario`), serially or split
+across worker processes, with a bit-identical outcome at any worker
+count: the op trace, flap schedule, and expected final segment digests
+are pure functions of the arguments; all failover-session activity
+lives on the front end's rank; flaps are scheduled identically on every
+rank (the partitioned crossbar re-checks reachability at delivery); and
+membership is the scheduled (deterministic) variant so flapping links
+never trigger evictions.
 
 The ``outcome`` carries the acceptance facts: exactly-once completion
 accounting against the op log, per-status/per-transport completion
@@ -31,14 +31,12 @@ import hashlib
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..apps.bsp import _paired_cluster_config
-from ..cluster.cluster import Cluster, ClusterConfig
-from ..fabric.faults import FaultInjector
+from ..cluster.cluster import ClusterConfig
+from ..cluster.scenario import (flap_front_end, paired_config,
+                                rank_cluster, run_scenario)
 from ..node.node import NodeConfig
 from ..rmc.rmc import RMCConfig
 from ..runtime.qp_api import RMCSession
-from ..sim import (Simulator, default_transport, plan_from_spec,
-                   run_partitioned)
 from ..vm.address import PAGE_SIZE
 from .base import MemoryStore, build_transport
 from .health import DegradationTimeline, HealthConfig
@@ -165,30 +163,21 @@ def run_failover(num_nodes: int = 4,
     health = health or HealthConfig(probe_interval_ns=probe_interval_ns,
                                     down_after=2, up_after=2)
 
-    config = _paired_cluster_config(
+    config = paired_config(
         ClusterConfig(num_nodes=num_nodes,
                       node=NodeConfig(rmc=RMCConfig(
                           retransmit_timeout_ns=retransmit_timeout_ns,
                           max_retries=max_retries))),
         num_nodes)
 
+    crashes = () if crash_node is None else ((crash_node, crash_at_ns),)
+
     def build(rank, plan):
-        sim = Simulator()
-        cluster = Cluster(sim=sim, config=config, partition=plan,
-                          rank=rank)
-        membership = cluster.enable_membership(
-            interval_ns=hb_interval_ns, lease_ns=lease_ns)
-        injector = FaultInjector(seed=fault_seed, per_link_streams=True)
-        cluster.fabric.install_fault_injector(injector)
-        for cycle in range(flap_cycles):
-            at = flap_start_ns + cycle * flap_period_ns
-            for peer in peers:
-                injector.flap_link(FAILOVER_CLIENT, peer, after_ns=at,
-                                   down_ns=flap_down_ns)
-        if crash_node is not None:
-            controller = cluster.fault_controller(seed=fault_seed)
-            controller.schedule_crash(crash_node, at_ns=crash_at_ns,
-                                      restart_after_ns=None)
+        cluster = rank_cluster(config, plan, rank, hb_interval_ns,
+                               lease_ns, fault_seed, crashes)
+        sim, membership = cluster.sim, cluster.membership
+        flap_front_end(cluster, FAILOVER_CLIENT, fault_seed, flap_start_ns,
+                       flap_cycles, flap_period_ns, flap_down_ns)
         gctx = cluster.create_global_context(_FAILOVER_CTX,
                                              segment_size,
                                              qps_per_node=1)
@@ -286,12 +275,8 @@ def run_failover(num_nodes: int = 4,
 
         return sim, cluster.fabric, finalize
 
-    plan = plan_from_spec(partition, build, num_nodes,
-                          min(int(workers) or 1, num_nodes))
-    chosen = transport or default_transport(plan.num_parts)
-    run = run_partitioned(build, plan, transport=chosen)
-
-    merged: dict = {
+    run = run_scenario(build, num_nodes, workers, partition, transport)
+    merged = run.merged({
         "final_time": run.final_time,
         "num_ops": num_ops,
         "ops_digest": ops_digest,
@@ -301,25 +286,11 @@ def run_failover(num_nodes: int = 4,
         "flap_cycles": flap_cycles,
         "expected": expected,
         "segments": {},
-    }
-    for part in run.results.values():
-        merged["segments"].update(part.pop("segments", {}))
-        merged["membership"] = part.pop("membership")
-        for key, value in part.items():
-            merged[key] = value
+    })
     if "exactly_once" in merged:
         eo = merged["exactly_once"]
         if eo["issued"] != num_ops:
             raise RuntimeError(
                 f"workload issued {eo['issued']} of {num_ops} ops: "
                 "the drive loop dropped work")
-    return {
-        "outcome": merged,
-        "perf": {
-            "transport": run.transport,
-            "workers": plan.num_parts,
-            "rounds": run.rounds,
-            "wall_s": run.wall_s,
-            "engine": run.engine_stats(),
-        },
-    }
+    return {"outcome": merged, "perf": run.perf}

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..cluster.membership import is_member_live
 from ..resilience.oplog import OneSidedWriteLog
 from ..runtime.qp_api import RemoteOpFailed
 from ..sim import Resource
@@ -155,7 +156,7 @@ class TransportStack:
     def peer_alive(self, dst_nid: int) -> bool:
         """The membership veto, as one predicate: without a control
         plane every peer counts as alive."""
-        return self.membership is None or self.membership.is_live(dst_nid)
+        return is_member_live(self.membership, dst_nid)
 
     def start_probes(self, peers: Sequence[int], until_ns: float) -> None:
         """Start every channel's probe loop (staggered phases), bounded

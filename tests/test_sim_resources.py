@@ -231,12 +231,3 @@ class TestStats:
         assert meter.gbps() == pytest.approx(8.0)
         assert meter.gbytes_per_sec() == pytest.approx(1.0)
         assert meter.mops() == pytest.approx(10.0)
-
-    def test_histogram_mode(self):
-        from repro.sim import Histogram
-
-        hist = Histogram(bucket_width=10.0)
-        for v in [1, 2, 3, 15, 16, 17, 18, 25]:
-            hist.record(v)
-        assert hist.mode_bucket() == (10.0, 20.0)
-        assert hist.cumulative_fraction_below(10.0) == pytest.approx(3 / 8)
