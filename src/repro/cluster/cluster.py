@@ -23,6 +23,7 @@ from ..node.node import Node, NodeConfig
 from ..rmc.context import ContextEntry
 from ..rmc.queues import QueuePair
 from ..sim import PartitionError, PartitionPlan, Simulator
+from ..vm.address import PAGE_SIZE
 
 __all__ = ["ClusterConfig", "Cluster", "GlobalContext", "NodeMap"]
 
@@ -256,40 +257,42 @@ class Cluster:
 
     # -- functional helpers for tests and examples --------------------------
 
+    def _segment_spans(self, node_id: int, ctx_id: int, offset: int,
+                       length: int):
+        """Physical ``(paddr, span)`` pieces of a segment byte range.
+
+        Splits at page boundaries: frames need not be physically
+        contiguous even when the segment is virtually contiguous.
+        """
+        entry = self.nodes[node_id].driver.contexts[ctx_id]
+        vaddr = entry.segment.vaddr_of(offset)
+        end = vaddr + length
+        while vaddr < end:
+            span = min(end - vaddr, PAGE_SIZE - (vaddr % PAGE_SIZE))
+            yield entry.address_space.translate(vaddr), span
+            vaddr += span
+
     def poke_segment(self, node_id: int, ctx_id: int, offset: int,
                      data: bytes) -> None:
-        """Write bytes directly into a node's context segment (untimed).
-
-        Handles page-boundary crossings (frames need not be physically
-        contiguous even when the segment is virtually contiguous).
-        """
-        from ..vm.address import PAGE_SIZE
-
-        entry = self.nodes[node_id].driver.contexts[ctx_id]
+        """Write bytes directly into a node's context segment (untimed)."""
         phys = self.nodes[node_id].phys
-        vaddr = entry.segment.vaddr_of(offset)
         written = 0
-        while written < len(data):
-            room = PAGE_SIZE - (vaddr % PAGE_SIZE)
-            span = min(len(data) - written, room)
-            paddr = entry.address_space.translate(vaddr)
+        for paddr, span in self._segment_spans(node_id, ctx_id, offset,
+                                               len(data)):
             phys.write(paddr, data[written:written + span])
-            vaddr += span
             written += span
 
     def peek_segment(self, node_id: int, ctx_id: int, offset: int,
                      length: int) -> bytes:
         """Read bytes directly from a node's context segment (untimed)."""
-        from ..vm.address import PAGE_SIZE
-
-        entry = self.nodes[node_id].driver.contexts[ctx_id]
         phys = self.nodes[node_id].phys
-        vaddr = entry.segment.vaddr_of(offset)
-        out = bytearray()
-        while len(out) < length:
-            room = PAGE_SIZE - (vaddr % PAGE_SIZE)
-            span = min(length - len(out), room)
-            paddr = entry.address_space.translate(vaddr)
-            out += phys.read(paddr, span)
-            vaddr += span
-        return bytes(out)
+        return b"".join(phys.read(paddr, span) for paddr, span in
+                        self._segment_spans(node_id, ctx_id, offset, length))
+
+    def zero_segment(self, node_id: int, ctx_id: int) -> None:
+        """Zero a node's whole context segment (untimed) without
+        materializing its pages: whole pages are dropped."""
+        phys = self.nodes[node_id].phys
+        size = self.nodes[node_id].driver.contexts[ctx_id].segment.size
+        for paddr, span in self._segment_spans(node_id, ctx_id, 0, size):
+            phys.zero(paddr, span)

@@ -143,9 +143,8 @@ class NodeFaultController:
         node = self.cluster.nodes.get(node_id)
         if node is not None:
             if wipe_memory:
-                for ctx_id, entry in node.driver.contexts.items():
-                    self.cluster.poke_segment(node_id, ctx_id, 0,
-                                              bytes(entry.segment.size))
+                for ctx_id in node.driver.contexts:
+                    self.cluster.zero_segment(node_id, ctx_id)
             node.rmc.resume()
             node.ni.reset_link_state()
         incarnation = 0

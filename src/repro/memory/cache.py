@@ -74,10 +74,11 @@ class Cache:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        # set index -> OrderedDict[line_addr -> dirty_bit], LRU first.
-        self._sets: Dict[int, OrderedDict] = {
-            i: OrderedDict() for i in range(config.num_sets)
-        }
+        self._line_size = config.line_size
+        self._num_sets = config.num_sets
+        # set index -> OrderedDict[line_addr -> dirty_bit], LRU first. A
+        # set exists from its first fill on; an absent set is empty.
+        self._sets: Dict[int, OrderedDict] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -85,13 +86,13 @@ class Cache:
         self.invalidations = 0
 
     def _index(self, line_addr: int) -> int:
-        return (line_addr // self.config.line_size) % self.config.num_sets
+        return (line_addr // self._line_size) % self._num_sets
 
     def probe(self, addr: int, is_write: bool = False) -> bool:
         """Look up a line; updates LRU and dirty state. True on hit."""
         line = line_align_down(addr)
-        cache_set = self._sets[self._index(line)]
-        if line in cache_set:
+        cache_set = self._sets.get(self._index(line))
+        if cache_set is not None and line in cache_set:
             cache_set.move_to_end(line)
             if is_write:
                 cache_set[line] = True
@@ -103,12 +104,16 @@ class Cache:
     def contains(self, addr: int) -> bool:
         """Non-perturbing lookup (no LRU update, no counters)."""
         line = line_align_down(addr)
-        return line in self._sets[self._index(line)]
+        cache_set = self._sets.get(self._index(line))
+        return cache_set is not None and line in cache_set
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[EvictedLine]:
         """Install a line after a miss; returns the victim, if any."""
         line = line_align_down(addr)
-        cache_set = self._sets[self._index(line)]
+        index = self._index(line)
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
         victim = None
         if line in cache_set:
             # Already present (e.g. a racing fill); just refresh state.
@@ -127,7 +132,9 @@ class Cache:
     def invalidate(self, addr: int) -> Optional[EvictedLine]:
         """Remove a line (coherence action); returns it if it was dirty."""
         line = line_align_down(addr)
-        cache_set = self._sets[self._index(line)]
+        cache_set = self._sets.get(self._index(line))
+        if cache_set is None:
+            return None
         dirty = cache_set.pop(line, None)
         if dirty is None:
             return None
@@ -139,7 +146,7 @@ class Cache:
         dirty_count = 0
         for cache_set in self._sets.values():
             dirty_count += sum(1 for d in cache_set.values() if d)
-            cache_set.clear()
+        self._sets.clear()
         return dirty_count
 
     @property

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..sim import Resource, Simulator
-from ..vm.address import CACHE_LINE_SIZE, lines_in_range
+from ..vm.address import CACHE_LINE_SIZE, line_align_down
 from ..vm.physical import PhysicalMemory
 from .cache import Cache, CacheConfig
 from .dram import DRAMChannel, DRAMConfig
@@ -40,6 +40,10 @@ class MemoryConfig:
     dram: DRAMConfig = field(default_factory=DRAMConfig)
 
 
+#: Level names by depth, as :meth:`AgentPort.access` reports them.
+_LEVELS = ("l1", "l2", "dram")
+
+
 class AgentPort:
     """One agent's (core's or RMC's) port into the node's hierarchy."""
 
@@ -50,6 +54,9 @@ class AgentPort:
         self.l1 = Cache(l1_config)
         self._mshrs = Resource(system.sim, capacity=l1_config.mshrs,
                                name=f"{name}.mshrs")
+        self._line_size = l1_config.line_size
+        self._l1_latency = l1_config.latency_ns
+        self._l2_latency = system.l2.config.latency_ns
         self.accesses = 0
 
     # -- timed path ------------------------------------------------------
@@ -65,56 +72,59 @@ class AgentPort:
         useful lines (the cache-contention effect the paper observes in
         the double-sided experiments would otherwise destroy the
         source's reply-landing buffers).
+
+        Each line of the range is walked in this one generator frame:
+        L1 probe, then on a miss an MSHR, the L2 probe and, if needed,
+        a DRAM fill.
         """
-        deepest = "l1"
-        rank = {"l1": 0, "l2": 1, "dram": 2}
-        for line in lines_in_range(paddr, size):
-            covered = (min(paddr + size, line + self.l1.config.line_size)
-                       - max(paddr, line))
-            full_line = covered >= self.l1.config.line_size
-            level = yield from self._access_line(line, is_write, full_line,
-                                                 allocate)
-            if rank[level] > rank[deepest]:
-                deepest = level
+        if size <= 0:
+            raise ValueError(f"length must be positive, got {size}")
+        system = self.system
+        l1 = self.l1
+        line_size = self._line_size
+        end = paddr + size
+        line = line_align_down(paddr)
+        deepest = 0   # index into _LEVELS
+        while line < end:
+            yield self._l1_latency
+            if l1.probe(line, is_write=is_write):
+                if is_write:
+                    system._invalidate_other_l1s(self, line)
+                line += CACHE_LINE_SIZE
+                continue
+
+            # L1 miss: take an MSHR for the duration of the fill.
+            yield self._mshrs.acquire()
+            try:
+                yield self._l2_latency
+                if system.l2.probe(line, is_write=False):
+                    served = 1
+                elif is_write and (min(end, line + line_size)
+                                   - max(paddr, line)) >= line_size:
+                    # A full-line overwrite needs no fill from memory: the
+                    # line is installed directly (write-allocate, no fetch).
+                    served = 1
+                    if allocate:
+                        self._fill_l2(line, dirty=True)
+                else:
+                    yield from system.dram.access(line_size, is_write=False)
+                    served = 2
+                    if allocate:
+                        self._fill_l2(line)
+                if allocate:
+                    victim1 = l1.fill(line, dirty=is_write)
+                    if victim1 is not None and victim1.dirty:
+                        # Write the dirty victim back into the L2.
+                        system.l2.probe(victim1.line_addr, is_write=True)
+                if is_write:
+                    system._invalidate_other_l1s(self, line)
+            finally:
+                self._mshrs.release()
+            if served > deepest:
+                deepest = served
+            line += CACHE_LINE_SIZE
         self.accesses += 1
-        return deepest
-
-    def _access_line(self, line: int, is_write: bool, full_line: bool,
-                     allocate: bool):
-        yield self.l1.config.latency_ns
-        if self.l1.probe(line, is_write=is_write):
-            if is_write:
-                self.system._invalidate_other_l1s(self, line)
-            return "l1"
-
-        # L1 miss: take an MSHR for the duration of the fill.
-        yield self._mshrs.acquire()
-        try:
-            yield self.system.l2.config.latency_ns
-            if self.system.l2.probe(line, is_write=False):
-                served = "l2"
-            elif is_write and full_line:
-                # A full-line overwrite needs no fill from memory: the
-                # line is installed directly (write-allocate, no fetch).
-                served = "l2"
-                if allocate:
-                    self._fill_l2(line, dirty=True)
-            else:
-                yield from self.system.dram.access(
-                    self.l1.config.line_size, is_write=False)
-                served = "dram"
-                if allocate:
-                    self._fill_l2(line)
-            if allocate:
-                victim1 = self.l1.fill(line, dirty=is_write)
-                if victim1 is not None and victim1.dirty:
-                    # Write the dirty victim back into the L2.
-                    self.system.l2.probe(victim1.line_addr, is_write=True)
-            if is_write:
-                self.system._invalidate_other_l1s(self, line)
-            return served
-        finally:
-            self._mshrs.release()
+        return _LEVELS[deepest]
 
     def _fill_l2(self, line: int, dirty: bool = False) -> None:
         victim = self.system.l2.fill(line, dirty=dirty)

@@ -59,10 +59,14 @@ class Core:
         return self.sim.process(generator,
                                 name=name or f"core{self.core_id}.thread")
 
-    def compute(self, ns: float):
-        """Pure computation for ``ns`` nanoseconds."""
+    def compute(self, ns: float) -> float:
+        """Pure computation for ``ns`` nanoseconds; ``yield`` the result.
+
+        Returns the bare delay, which the kernel schedules through its
+        pooled-event fast path (no :class:`~repro.sim.Timeout` object).
+        """
         self.instructions_retired += 1
-        return self.sim.timeout(ns)
+        return self.sim.delay(ns)
 
     # -- local memory operations (timed + functional) ----------------------
 

@@ -27,13 +27,13 @@ __all__ = ["NodeConfig", "Node"]
 class NodeConfig:
     """Per-node configuration.
 
-    ``memory_bytes`` defaults to 32 MB rather than the paper's 4 GB: the
-    physical memory is *really allocated* (functional correctness), and
-    the evaluation workloads fit comfortably. All timing parameters are
-    independent of capacity.
+    ``memory_bytes`` defaults to the paper's 4 GB (Table 1). Physical
+    memory is page-sparse, so a node costs host RAM and build time only
+    for the pages a run writes, not for its capacity. All timing
+    parameters are independent of capacity.
     """
 
-    memory_bytes: int = 32 * 1024 * 1024
+    memory_bytes: int = 4 * 1024 * 1024 * 1024
     num_cores: int = 1
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     rmc: RMCConfig = field(default_factory=RMCConfig)

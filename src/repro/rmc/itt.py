@@ -60,11 +60,14 @@ class ITTEntry:
     def done(self) -> bool:
         return self.failed or self.completed_lines >= self.total_lines
 
+    def __post_init__(self):
+        #: The chunk offsets, so reply matching is one set lookup.
+        self._chunk_offsets = (None if self.chunks is None else
+                               frozenset(offset for offset, _ in self.chunks))
+
     def covers_offset(self, offset: int) -> bool:
         """Whether a reply offset belongs to this request's line grid."""
-        if self.chunks is None:
-            return True
-        return any(offset == chunk_offset for chunk_offset, _ in self.chunks)
+        return self._chunk_offsets is None or offset in self._chunk_offsets
 
     def line_local_vaddr(self, reply_offset: int) -> int:
         """Where a reply's payload lands in the local buffer.

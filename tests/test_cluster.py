@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.fabric import FabricConfig, torus2d
+from repro.node import NodeConfig
 from repro.runtime import RMCSession
 from repro.vm import PAGE_SIZE
 
@@ -39,6 +40,41 @@ class TestClusterConstruction:
         offset = PAGE_SIZE - 512
         cluster.poke_segment(0, CTX, offset, data)
         assert cluster.peek_segment(0, CTX, offset, len(data)) == data
+
+
+class TestSparseNodeMemory:
+    """Node memory costs pages for what a run writes, not its capacity.
+    Every check counts resident pages; nothing is timed."""
+
+    @staticmethod
+    def _resident(cluster):
+        return [node.phys.resident_pages for node in cluster.nodes]
+
+    def test_default_nodes_are_paper_sized_and_sparse(self):
+        paper = Cluster(config=ClusterConfig(num_nodes=2))
+        small = Cluster(config=ClusterConfig(
+            num_nodes=2, node=NodeConfig(memory_bytes=32 * 1024 * 1024)))
+        assert paper.nodes[0].phys.size == 4 * 1024 ** 3
+        for cluster in (paper, small):
+            cluster.create_global_context(CTX, SEG)
+            cluster.poke_segment(1, CTX, PAGE_SIZE - 4, b"straddle")
+        assert self._resident(paper) == self._resident(small)
+        assert self._resident(paper) == [0, 2]
+
+    def test_restart_wipe_zeroes_without_materializing(self):
+        cluster = Cluster(config=ClusterConfig(num_nodes=2))
+        cluster.create_global_context(CTX, SEG + 100)   # a partial last page
+        node = cluster.nodes[1]
+        cluster.poke_segment(1, CTX, 0, b"\xab" * (3 * PAGE_SIZE))
+        cluster.poke_segment(1, CTX, SEG + 50, b"tail")
+        before = node.phys.resident_pages
+        ctrl = cluster.fault_controller()
+        ctrl.crash(1)
+        ctrl.restart(1)
+        assert before == 4
+        # Whole pages are dropped; the partly covered last one is cleared.
+        assert node.phys.resident_pages == 1
+        assert cluster.peek_segment(1, CTX, 0, SEG + 100) == bytes(SEG + 100)
 
 
 class TestTorusCluster:

@@ -73,6 +73,28 @@ class TestCache:
         assert cache.flush() == 1
         assert cache.occupancy == 0
 
+    def test_unfilled_sets_answer_every_query(self):
+        # No set is filled: every query must see an empty cache, and
+        # none of them may create set state.
+        cache = Cache(CacheConfig(name="L2", size_bytes=4 * 1024 * 1024,
+                                  associativity=16, latency_ns=3.0))
+        assert not cache.contains(0x4000)
+        assert cache.invalidate(0x4000) is None
+        assert cache.flush() == 0
+        assert cache.occupancy == 0
+        assert cache.invalidations == 0
+
+    def test_filled_and_unfilled_sets_coexist(self):
+        cache = Cache(small_l1())   # 8 sets of 2 lines
+        cache.fill(0x40, dirty=True)
+        assert cache.contains(0x40)
+        assert not cache.contains(0x80)          # another, unfilled set
+        assert cache.invalidate(0x80) is None
+        assert cache.occupancy == 1
+        assert cache.flush() == 1
+        assert cache.occupancy == 0 and not cache.contains(0x40)
+        assert cache.fill(0x40) is None          # a flushed set refills
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             CacheConfig(name="bad", size_bytes=100, associativity=3,

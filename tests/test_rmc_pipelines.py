@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import Cluster, ClusterConfig
 from repro.fabric import FabricConfig
 from repro.node import NodeConfig
+from repro.protocol import ReplyPacket
 from repro.rmc import RMCConfig
 from repro.runtime import RMCSession
 from repro.vm import CACHE_LINE_SIZE, PAGE_SIZE
@@ -144,6 +145,41 @@ class TestITTBackpressure:
         cluster.sim.process(app(cluster.sim))
         cluster.run()
         assert 1 <= cluster.nodes[0].rmc.itt.peak_in_flight <= 4
+
+
+class TestStaleReplyMatching:
+    def test_off_grid_reply_on_long_read_is_stale(self):
+        """A 128-line read's tid is hit by a reply at an offset that is
+        not on its line grid (a previous occupant of the tid): the RCP
+        counts it stale and the real read still completes intact."""
+        cluster, sessions = build()
+        session = sessions[0]
+        length = 128 * CACHE_LINE_SIZE
+        lbuf = session.alloc_buffer(length)
+        payload = bytes((i * 7) % 256 for i in range(length))
+        cluster.poke_segment(1, CTX, 0, payload)
+        rmc0 = cluster.nodes[0].rmc
+
+        def app(sim):
+            yield from session.read_sync(1, 0, lbuf, length)
+            return session.buffer_peek(lbuf, length)
+
+        def stray(sim):
+            while not rmc0.itt.active_entries():
+                yield 10.0
+            (entry,) = rmc0.itt.active_entries()
+            assert entry.total_lines == 128
+            yield cluster.nodes[1].ni.inject(ReplyPacket(
+                dst_nid=0, src_nid=1, tid=entry.tid,
+                offset=entry.base_offset + 3 * CACHE_LINE_SIZE + 8,
+                payload=b"\xee" * 8))
+
+        proc = cluster.sim.process(app(cluster.sim))
+        cluster.sim.process(stray(cluster.sim))
+        cluster.run()
+        assert proc.value == payload
+        assert rmc0.counters["replies_stale"] == 1
+        assert rmc0.counters["cq_completions"] == 1
 
 
 class TestVirtualLaneDeadlockFreedom:

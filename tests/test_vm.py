@@ -124,6 +124,112 @@ class TestPhysicalMemory:
         assert mem.read(f2, 64) == bytes(64)
 
 
+def _same_outcome(fn, reference):
+    """Run ``fn`` and ``reference``; both return equal values or both
+    raise the same exception type with the same message."""
+    try:
+        expected = reference()
+    except IndexError as exc:
+        with pytest.raises(IndexError) as raised:
+            fn()
+        assert str(raised.value) == str(exc)
+        return
+    assert fn() == expected
+
+
+class TestSparsePhysicalMemory:
+    """Page-sparse memory against a dense ``bytearray`` reference."""
+
+    SIZE = 4 * PAGE_SIZE
+
+    def test_untouched_reads_are_zero_and_not_resident(self):
+        mem = PhysicalMemory(self.SIZE)
+        assert mem.read(PAGE_SIZE - 8, 16) == bytes(16)
+        assert mem.read_u64(3 * PAGE_SIZE) == 0
+        assert mem.resident_pages == 0
+
+    def test_straddling_write_materializes_both_pages(self):
+        mem = PhysicalMemory(self.SIZE)
+        mem.write(PAGE_SIZE - 3, b"abcdef")
+        assert mem.resident_pages == 2
+        assert mem.read(PAGE_SIZE - 4, 8) == b"\x00abcdef\x00"
+
+    def test_empty_write_materializes_nothing(self):
+        mem = PhysicalMemory(self.SIZE)
+        mem.write(self.SIZE, b"")
+        mem.write(PAGE_SIZE, b"")
+        assert mem.resident_pages == 0
+
+    def test_zero_drops_whole_pages_and_clears_partial_ones(self):
+        mem = PhysicalMemory(self.SIZE)
+        mem.write(0, b"\xff" * self.SIZE)
+        mem.zero(PAGE_SIZE // 2, 2 * PAGE_SIZE)
+        assert mem.resident_pages == 3   # page 1 dropped, 0 and 2 cleared
+        expected = (b"\xff" * (PAGE_SIZE // 2) + bytes(2 * PAGE_SIZE)
+                    + b"\xff" * (PAGE_SIZE + PAGE_SIZE // 2))
+        assert mem.read(0, self.SIZE) == expected
+
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(["read", "write", "read_u64",
+                                   "write_u64", "zero"]),
+                  st.integers(min_value=-16, max_value=4 * PAGE_SIZE + 16),
+                  st.integers(min_value=-4, max_value=PAGE_SIZE + 200),
+                  st.integers(min_value=0, max_value=2 ** 64 - 1)),
+        min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_bytearray(self, ops):
+        mem = PhysicalMemory(self.SIZE)
+        ref = bytearray(self.SIZE)
+
+        def check(paddr, length):
+            if paddr < 0 or length < 0 or paddr + length > self.SIZE:
+                raise IndexError(
+                    f"physical access [{paddr}, {paddr + length}) outside "
+                    f"memory of size {self.SIZE}")
+
+        for kind, paddr, length, value in ops:
+            if kind == "read":
+                def reference():
+                    check(paddr, length)
+                    return bytes(ref[paddr:paddr + length])
+                _same_outcome(lambda: mem.read(paddr, length), reference)
+            elif kind == "read_u64":
+                def reference():
+                    check(paddr, 8)
+                    return int.from_bytes(ref[paddr:paddr + 8], "little")
+                _same_outcome(lambda: mem.read_u64(paddr), reference)
+            elif kind == "write":
+                data = bytes((value + i) % 256
+                             for i in range(max(length, 0)))
+
+                def reference():
+                    check(paddr, len(data))
+                    ref[paddr:paddr + len(data)] = data
+                _same_outcome(lambda: mem.write(paddr, data), reference)
+            elif kind == "write_u64":
+                def reference():
+                    check(paddr, 8)
+                    ref[paddr:paddr + 8] = value.to_bytes(8, "little")
+                _same_outcome(lambda: mem.write_u64(paddr, value), reference)
+            else:
+                def reference():
+                    check(paddr, length)
+                    ref[paddr:paddr + length] = bytes(length)
+                _same_outcome(lambda: mem.zero(paddr, length), reference)
+        assert mem.read(0, self.SIZE) == bytes(ref)
+
+    def test_free_frame_releases_its_page(self):
+        mem = PhysicalMemory(self.SIZE)
+        alloc = FrameAllocator(mem)
+        frame = alloc.alloc_frame()
+        assert mem.resident_pages == 0   # allocation does not materialize
+        mem.write(frame + 8, b"data")
+        assert mem.resident_pages == 1
+        alloc.free_frame(frame)
+        assert mem.resident_pages == 0
+        assert mem.read(frame, 16) == bytes(16)
+
+
 class TestPageTable:
     def _make(self, npages=8):
         mem = PhysicalMemory(npages * PAGE_SIZE)
