@@ -78,6 +78,8 @@ class CrossbarFabric:
         self.severed_pairs.discard((min(a, b), max(a, b)))
 
     def _reachable(self, src: int, dst: int) -> bool:
+        if not self.failed_nodes and not self.severed_pairs:
+            return True   # a healthy fabric: the per-packet common case
         if src in self.failed_nodes or dst in self.failed_nodes:
             return False
         return (min(src, dst), max(src, dst)) not in self.severed_pairs

@@ -87,8 +87,8 @@ class DRAMChannel:
     def writeback(self, size: int):
         """Fire-and-forget dirty-line writeback (consumes bus bandwidth
         but nobody waits for it)."""
-        self.sim.process(self.access(size, is_write=True),
-                         name="dram-writeback")
+        self.sim.spawn(self.access(size, is_write=True),
+                       name="dram-writeback")
 
     @property
     def utilization_bytes(self) -> int:

@@ -62,9 +62,17 @@ class AgentPort:
     # -- timed path ------------------------------------------------------
 
     def access(self, paddr: int, is_write: bool = False,
-               size: int = CACHE_LINE_SIZE, allocate: bool = True):
+               size: int = CACHE_LINE_SIZE, allocate: bool = True,
+               data=None):
         """Timed access coroutine; returns the deepest level touched
         ('l1' | 'l2' | 'dram') across all lines of the access.
+
+        With ``data``, the access also moves the bytes, each line's right
+        after that line's timed access: a read appends them to the
+        ``data`` bytearray, a write stores the line's slice of ``data``
+        (which covers the whole range). One call over a span therefore
+        does the timing and data work of one call per line, in the same
+        order and at the same instants.
 
         ``allocate=False`` makes misses non-allocating (streaming):
         the RMC's RRPP uses it when serving remote reads, whose data
@@ -90,38 +98,45 @@ class AgentPort:
             if l1.probe(line, is_write=is_write):
                 if is_write:
                     system._invalidate_other_l1s(self, line)
-                line += CACHE_LINE_SIZE
-                continue
-
-            # L1 miss: take an MSHR for the duration of the fill.
-            yield self._mshrs.acquire()
-            try:
-                yield self._l2_latency
-                if system.l2.probe(line, is_write=False):
-                    served = 1
-                elif is_write and (min(end, line + line_size)
-                                   - max(paddr, line)) >= line_size:
-                    # A full-line overwrite needs no fill from memory: the
-                    # line is installed directly (write-allocate, no fetch).
-                    served = 1
+            else:
+                # L1 miss: take an MSHR for the duration of the fill.
+                yield self._mshrs.acquire()
+                try:
+                    yield self._l2_latency
+                    if system.l2.probe(line, is_write=False):
+                        served = 1
+                    elif is_write and (min(end, line + line_size)
+                                       - max(paddr, line)) >= line_size:
+                        # A full-line overwrite needs no fill from memory:
+                        # the line is installed directly (write-allocate,
+                        # no fetch).
+                        served = 1
+                        if allocate:
+                            self._fill_l2(line, dirty=True)
+                    else:
+                        yield from system.dram.access(line_size,
+                                                      is_write=False)
+                        served = 2
+                        if allocate:
+                            self._fill_l2(line)
                     if allocate:
-                        self._fill_l2(line, dirty=True)
-                else:
-                    yield from system.dram.access(line_size, is_write=False)
-                    served = 2
-                    if allocate:
-                        self._fill_l2(line)
-                if allocate:
-                    victim1 = l1.fill(line, dirty=is_write)
-                    if victim1 is not None and victim1.dirty:
-                        # Write the dirty victim back into the L2.
-                        system.l2.probe(victim1.line_addr, is_write=True)
+                        victim1 = l1.fill(line, dirty=is_write)
+                        if victim1 is not None and victim1.dirty:
+                            # Write the dirty victim back into the L2.
+                            system.l2.probe(victim1.line_addr, is_write=True)
+                    if is_write:
+                        system._invalidate_other_l1s(self, line)
+                finally:
+                    self._mshrs.release()
+                if served > deepest:
+                    deepest = served
+            if data is not None:
+                lo = max(paddr, line)
+                hi = min(end, line + CACHE_LINE_SIZE)
                 if is_write:
-                    system._invalidate_other_l1s(self, line)
-            finally:
-                self._mshrs.release()
-            if served > deepest:
-                deepest = served
+                    system.physical.write(lo, data[lo - paddr:hi - paddr])
+                else:
+                    data += system.physical.read(lo, hi - lo)
             line += CACHE_LINE_SIZE
         self.accesses += 1
         return _LEVELS[deepest]

@@ -20,7 +20,7 @@ from typing import Generator
 
 from ..memory.hierarchy import AgentPort
 from ..sim import Process, Simulator
-from ..vm.address import CACHE_LINE_SIZE
+from ..vm.address import CACHE_LINE_SIZE, PAGE_SIZE
 from ..vm.address_space import AddressSpace
 
 __all__ = ["CoreConfig", "Core"]
@@ -63,7 +63,7 @@ class Core:
         """Pure computation for ``ns`` nanoseconds; ``yield`` the result.
 
         Returns the bare delay, which the kernel schedules through its
-        pooled-event fast path (no :class:`~repro.sim.Timeout` object).
+        bare-delay fast path (no :class:`~repro.sim.Timeout` object).
         """
         self.instructions_retired += 1
         return self.sim.delay(ns)
@@ -74,31 +74,32 @@ class Core:
         """Timed coroutine: read ``length`` bytes of local virtual memory.
 
         Core-side translation is charged as free (core TLBs hit in steady
-        state and are not the subject of the paper's evaluation).
+        state and are not the subject of the paper's evaluation). Each
+        page-contiguous span is one :meth:`AgentPort.access`, which times
+        the span line by line and copies each line as it completes.
         """
         data = bytearray()
         position = vaddr
         remaining = length
         while remaining > 0:
-            line_room = CACHE_LINE_SIZE - (position % CACHE_LINE_SIZE)
-            span = min(remaining, line_room)
-            paddr = space.translate(position)
-            yield from self.port.access(paddr, size=span)
-            data += self.port.read_bytes(paddr, span)
+            span = min(remaining, PAGE_SIZE - position % PAGE_SIZE)
+            yield from self.port.access(space.translate(position), size=span,
+                                        data=data)
             position += span
             remaining -= span
         return bytes(data)
 
     def mem_write(self, space: AddressSpace, vaddr: int, data: bytes):
-        """Timed coroutine: write local virtual memory."""
+        """Timed coroutine: write local virtual memory (one
+        :meth:`AgentPort.access` per page-contiguous span, as
+        :meth:`mem_read`)."""
         position = vaddr
         offset = 0
         while offset < len(data):
-            line_room = CACHE_LINE_SIZE - (position % CACHE_LINE_SIZE)
-            span = min(len(data) - offset, line_room)
-            paddr = space.translate(position)
-            yield from self.port.access(paddr, is_write=True, size=span)
-            self.port.write_bytes(paddr, data[offset:offset + span])
+            span = min(len(data) - offset, PAGE_SIZE - position % PAGE_SIZE)
+            yield from self.port.access(space.translate(position),
+                                        is_write=True, size=span,
+                                        data=data[offset:offset + span])
             position += span
             offset += span
         return len(data)

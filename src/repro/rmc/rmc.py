@@ -167,6 +167,14 @@ class RMC:
         # Simulation-efficiency device standing in for continuous WQ
         # polling: posts and tid retirements wake the RGP sweep.
         self._rgp_wake = WakeSignal(sim)
+        # Names of the per-request and per-line stage processes, built
+        # once here rather than formatted for every line.
+        stage = f"rmc{node_id}."
+        self._gen_name = stage + "rgp.gen"
+        self._watchdog_name = stage + "rgp.watchdog"
+        self._emit_name = stage + "rgp.emit"
+        self._serve_name = stage + "rrpp.serve"
+        self._complete_name = stage + "rcp.complete"
         sim.process(self._rgp_loop(), name=f"rmc{node_id}.rgp")
         sim.process(self._rrpp_loop(), name=f"rmc{node_id}.rrpp")
         sim.process(self._rcp_loop(), name=f"rmc{node_id}.rcp")
@@ -334,9 +342,8 @@ class RMC:
                         # serially, so generation happens inline.
                         yield from self._generate(qp, entry, index, wq_entry)
                     else:
-                        sim.process(self._generate(qp, entry, index,
-                                                   wq_entry),
-                                    name=f"rmc{self.node_id}.rgp.gen")
+                        sim.spawn(self._generate(qp, entry, index, wq_entry),
+                                  name=self._gen_name)
             if not found_work:
                 yield self._rgp_wake.wait()
                 yield self.config.idle_poll_ns
@@ -357,9 +364,8 @@ class RMC:
         self.counters.incr("wq_requests")
         if itt_entry.timeout_ns:
             itt_entry.deadline_ns = sim.now + itt_entry.timeout_ns
-            sim.process(self._watchdog(itt_entry),
-                        name=f"rmc{self.node_id}.rgp.watchdog",
-                        daemon=True)
+            sim.spawn(self._watchdog(itt_entry), name=self._watchdog_name,
+                      daemon=True)
         # Per-line unroll stage plus the (RMCemu) serialized software
         # unroll cost, coalesced into one kernel event per line.
         per_line = cycle + self.config.unroll_overhead_ns
@@ -367,10 +373,9 @@ class RMC:
             yield per_line
             if self.halted:
                 return   # crashed mid-unroll
-            sim.process(
-                self._emit_chunk(ctx, wq_entry, itt_entry.tid,
-                                 chunk_offset, chunk_len),
-                name=f"rmc{self.node_id}.rgp.emit")
+            sim.spawn(self._emit_chunk(ctx, wq_entry, itt_entry.tid,
+                                       chunk_offset, chunk_len),
+                      name=self._emit_name)
 
     def _emit_chunk(self, ctx: ContextEntry, wq_entry: WQEntry, tid: int,
                     chunk_offset: int, chunk_len: int, attempt: int = 0):
@@ -468,8 +473,8 @@ class RMC:
                 yield from self._serve_request(packet)
             else:
                 yield self.config.pipeline_cycle_ns  # decode
-                sim.process(self._serve_request(packet),
-                            name=f"rmc{self.node_id}.rrpp.serve")
+                sim.spawn(self._serve_request(packet),
+                          name=self._serve_name)
 
     def _serve_request(self, req: RequestPacket):
         """CT lookup -> bounds check -> translate -> memory op -> reply."""
@@ -619,8 +624,7 @@ class RMC:
                 yield from self._complete(packet)
             else:
                 yield self.config.pipeline_cycle_ns  # decode
-                sim.process(self._complete(packet),
-                            name=f"rmc{self.node_id}.rcp.complete")
+                sim.spawn(self._complete(packet), name=self._complete_name)
 
     def _complete(self, reply: ReplyPacket):
         """Deposit payload, count the line, finish the WQ request."""

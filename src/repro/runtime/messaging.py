@@ -349,9 +349,9 @@ class Messenger:
             yield self.session.core.compute(
                 self.session.core.config.poll_overhead_ns)
             yield from self.session.core.touch(self.session.space, vaddr)
-            line = self.session.buffer_peek(vaddr, CACHE_LINE_SIZE)
-            if line[0] != _TYPE_EMPTY:
-                return line
+            # Peek only the type byte while the slot is empty.
+            if self.session.buffer_peek(vaddr, 1)[0] != _TYPE_EMPTY:
+                return self.session.buffer_peek(vaddr, CACHE_LINE_SIZE)
 
     def _consume_slot(self, peer: int, state: _PeerState):
         """Clear the slot and batch-report credits back to the sender."""

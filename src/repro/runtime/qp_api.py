@@ -31,6 +31,7 @@ from ..node.core import Core
 from ..protocol import Opcode
 from ..rmc.context import ContextEntry
 from ..rmc.queues import CQEntry, QueuePair, WQEntry
+from ..vm.address import PAGE_SIZE
 
 __all__ = ["RemoteOpError", "RemoteOpFailed", "RMCSession"]
 
@@ -111,7 +112,6 @@ class RMCSession:
         """Untimed functional buffer write (test/setup convenience)."""
         position = 0
         while position < len(data):
-            from ..vm.address import PAGE_SIZE
             room = PAGE_SIZE - ((vaddr + position) % PAGE_SIZE)
             span = min(len(data) - position, room)
             paddr = self.space.translate(vaddr + position)
@@ -120,7 +120,10 @@ class RMCSession:
 
     def buffer_peek(self, vaddr: int, length: int) -> bytes:
         """Untimed functional buffer read (test/verify convenience)."""
-        from ..vm.address import PAGE_SIZE
+        if 0 < length <= PAGE_SIZE - vaddr % PAGE_SIZE:
+            # Within one page, as every messaging slot poll is.
+            return self.core.port.read_bytes(self.space.translate(vaddr),
+                                             length)
         out = bytearray()
         while len(out) < length:
             room = PAGE_SIZE - ((vaddr + len(out)) % PAGE_SIZE)

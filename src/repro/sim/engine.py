@@ -34,25 +34,32 @@ becomes the process's :attr:`Event.value`. Exceptions raised inside a
 process propagate to any process waiting on it, and to :meth:`Simulator.run`
 if nobody is waiting (errors never pass silently).
 
-Performance model (see docs/architecture.md, "Kernel fast paths"):
+Performance model (see docs/architecture.md §8, "Kernel fast paths"):
 
-* **Bare-number yields are the fast path.** ``yield 0.5`` resumes the
-  process through a pooled internal event — no :class:`Timeout` object is
-  allocated, and the pool is recycled after every delivery. Component hot
-  loops use this idiom (optionally via :meth:`Simulator.delay`, which also
-  documents coalesced delays).
-* **Zero-delay and same-timestamp events skip the heap.** Anything
-  scheduled at the current timestamp goes onto a FIFO deque (the
-  "now-queue") instead of the heap; heap entries that mature at the
-  current timestamp are always drained before the now-queue, so the total
-  FIFO order of equal-time events is exactly the order they were
-  scheduled in — bit-identical to the heap-only kernel.
+* **A queue entry carries its action.** The heap holds
+  ``(when, seq, fn, arg)`` and the FIFO now-queue holds ``(fn, arg)``;
+  dispatching an entry is the one call ``fn(arg)``. A bare-number or
+  ``None`` yield queues the process's resume with a shared success
+  token, so a wait allocates one tuple and no :class:`Event`. Component
+  hot loops use this idiom (optionally via :meth:`Simulator.delay`,
+  which also documents coalesced delays).
+* **Zero-delay and same-timestamp entries skip the heap.** Anything
+  scheduled at the current timestamp goes onto the now-queue instead of
+  the heap; heap entries that mature at the current timestamp are always
+  drained before the now-queue, so the total FIFO order of equal-time
+  entries is exactly the order they were scheduled in — bit-identical
+  to a heap-only kernel.
+* **Daemon entries are counted, real ones are not.** The run ends when
+  only daemon entries (watchdog and heartbeat timers) remain; that test
+  is made only when the next entry is itself a daemon.
 * **:meth:`Simulator.call_later` schedules a bare callback** without
-  spawning a process (used for credit returns and in-flight packet
-  delivery), again through the pooled-event path.
+  spawning a process (credit returns, in-flight packet delivery), and
+  **:meth:`Simulator.spawn` starts a process nobody waits for**: its
+  successful return queues no completion entry. The RMC's per-line
+  pipeline stages use it.
 
 None of the fast paths changes simulated timestamps: they remove Python
-objects and heap traffic, not simulated time.
+objects and queue traffic, not simulated time.
 """
 
 from __future__ import annotations
@@ -74,17 +81,45 @@ __all__ = [
     "WakeSignal",
 ]
 
-#: Upper bound on the recycled-event free list (plenty for every model in
-#: the repo; merely caps memory if a workload bursts).
-_POOL_LIMIT = 4096
-
-
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. double-trigger)."""
 
 
 class StopSimulation(Exception):
     """Raised internally to halt :meth:`Simulator.run` early."""
+
+
+class _Ok:
+    """The outcome every bare-delay resume delivers: success, no value.
+
+    One shared instance stands in for the triggering event, so a
+    ``yield 0.5`` queues ``(process._resume, _OK)`` and allocates
+    nothing else.
+    """
+
+    __slots__ = ()
+    _ok = True
+    value = None
+
+
+_OK = _Ok()
+
+
+def _fire(event: "Event") -> None:
+    """Dispatch a triggered event: run its callbacks once."""
+    callbacks = event.callbacks
+    event.callbacks = None  # marks the event as fully processed
+    if callbacks:
+        for callback in callbacks:
+            callback(event)
+    elif not event._ok:
+        # A failed event nobody waited for: surface it.
+        raise event.value
+
+
+def _call(fn: Callable[[], None]) -> None:
+    """Dispatch a :meth:`Simulator.call_later` entry."""
+    fn()
 
 
 class Event:
@@ -96,12 +131,11 @@ class Event:
 
     A *daemon* event (watchdog timers, heartbeat ticks) does not keep the
     simulation alive: :meth:`Simulator.run` returns once only daemon
-    events remain in the heap, so background reliability machinery never
+    events remain queued, so background reliability machinery never
     extends a run past its last piece of real work.
     """
 
-    __slots__ = ("sim", "callbacks", "_triggered", "_ok", "value", "daemon",
-                 "_pooled", "_cb")
+    __slots__ = ("sim", "callbacks", "_triggered", "_ok", "value", "daemon")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -110,7 +144,6 @@ class Event:
         self._ok = True
         self.value: Any = None
         self.daemon = False
-        self._pooled = False
 
     @property
     def triggered(self) -> bool:
@@ -129,7 +162,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self.value = value
-        self.sim._queue_event(self)
+        self.sim._schedule(self.sim.now, _fire, self, self.daemon)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -141,7 +174,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self.value = exception
-        self.sim._queue_event(self)
+        self.sim._schedule(self.sim.now, _fire, self, self.daemon)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -152,10 +185,10 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after a fixed delay.
 
-    Hot paths should prefer yielding the bare delay (``yield 0.5``), which
-    goes through the simulator's pooled-event fast path; a :class:`Timeout`
-    object is for when the event itself is needed (``any_of`` arms,
-    carrying a ``value``, daemon timers).
+    Hot paths should prefer yielding the bare delay (``yield 0.5``),
+    which queues the resume directly; a :class:`Timeout` object is for
+    when the event itself is needed (``any_of`` arms, carrying a
+    ``value``, daemon timers).
     """
 
     __slots__ = ("delay",)
@@ -171,15 +204,8 @@ class Timeout(Event):
         self._ok = True
         self.value = value
         self.daemon = daemon
-        self._pooled = False
         self.delay = delay
-        sim._schedule_at(sim.now + delay, self)
-
-
-def _run_deferred(event: Event) -> None:
-    """Delivery callback for :meth:`Simulator.call_later`: the scheduled
-    function rides in ``event.value``."""
-    event.value()
+        sim._schedule(sim.now + delay, _fire, self, daemon)
 
 
 class Process(Event):
@@ -190,8 +216,8 @@ class Process(Event):
     for it by yielding it.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "_send", "_throw",
-                 "_resume_cb")
+    __slots__ = ("generator", "name", "_send", "_throw", "_resume_cb",
+                 "_spawned")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "",
                  daemon: bool = False):
@@ -205,85 +231,74 @@ class Process(Event):
         self.daemon = daemon
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
-        # Bound once: resumed on every event the process waits for (a
-        # fresh bound method per wait would be an allocation each).
+        # Set by Simulator.spawn(): nobody can wait on this process, so a
+        # successful return queues no completion event.
+        self._spawned = False
+        # Bound once: queued on every wait (a fresh bound method per
+        # wait would be an allocation each).
         self._send = generator.send
         self._throw = generator.throw
         self._resume_cb = self._resume
-        sim._schedule_resume(self, sim.now)
+        sim._now_queue.append((self._resume_cb, _OK))
 
     @property
     def is_alive(self) -> bool:
         """Whether the underlying generator has not yet finished."""
         return not self._triggered
 
-    def _resume(self, trigger: Event) -> None:
-        """Advance the generator with the value (or exception) of `trigger`."""
-        self._waiting_on = None
-        sim = self.sim
-        sim._active_process = self
+    def _resume(self, trigger) -> None:
+        """Advance the generator with the outcome of ``trigger`` (an
+        event, or :data:`_OK` for a bare delay)."""
         try:
             if trigger._ok:
                 target = self._send(trigger.value)
             else:
                 target = self._throw(trigger.value)
         except StopIteration as stop:
-            sim._active_process = None
             self._triggered = True
             self._ok = True
             self.value = stop.value
-            sim._queue_event(self)
+            if self._spawned:
+                # Its completion event would dispatch to no callbacks.
+                self.callbacks = None
+                return
+            self.sim._schedule(self.sim.now, _fire, self, self.daemon)
             return
         except BaseException as exc:
-            sim._active_process = None
             self._triggered = True
             self._ok = False
             self.value = exc
-            sim._queue_event(self)
+            self.sim._schedule(self.sim.now, _fire, self, self.daemon)
             return
-        sim._active_process = None
 
         # Wait on whatever the process yielded. Bare numbers and ``None``
-        # take the pooled fast path: no Timeout object, no heap traffic
-        # for zero delays. The scheduling is inlined (vs. calling
-        # _schedule_resume) because this is the hottest branch in the
-        # repository.
+        # queue the resume itself: no Timeout object, and no heap traffic
+        # for zero delays. This is the hottest branch in the repository,
+        # hence the inlined queueing.
         cls = target.__class__
         if cls is float or cls is int or target is None:
-            pool = sim._pool
-            if pool:
-                event = pool.pop()
-                event._ok = True
-                event.value = None
-                event.daemon = False
-            else:
-                event = sim._pooled_event()
-            event._cb = self._resume_cb
-            self._waiting_on = event
-            sim._pending_real += 1
+            sim = self.sim
             if target:
                 if target < 0:
                     raise ValueError(f"negative timeout delay: {target}")
-                heapq.heappush(sim._heap,
-                               (sim.now + target, next(sim._counter), event))
+                heapq.heappush(sim._heap, (sim.now + target, next(sim._seq),
+                                           self._resume_cb, _OK))
             else:
-                sim._now_queue.append(event)
+                sim._now_queue.append((self._resume_cb, _OK))
         elif isinstance(target, Event):
             if target.callbacks is None:
                 # Already processed: resume at the current time with the
                 # event's outcome (success value or failure exception).
-                sim._schedule_resume(self, sim.now, target.value, target._ok)
+                self.sim._now_queue.append((self._resume_cb, target))
             else:
                 target.callbacks.append(self._resume_cb)
-                self._waiting_on = target
         elif isinstance(target, (int, float)):
             # Numeric subclasses (bool, numpy scalars) missed the exact-
             # type fast path above; honour them like the bare numbers.
             delay = float(target)
             if delay < 0:
                 raise ValueError(f"negative timeout delay: {delay}")
-            sim._schedule_resume(self, sim.now + delay)
+            self.sim._schedule(self.sim.now + delay, self._resume_cb, _OK)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}"
@@ -385,106 +400,69 @@ class WakeSignal:
 
 
 class Simulator:
-    """The event loop: a heap of (time, tiebreak, event) triples plus a
-    FIFO "now-queue" for events at the current timestamp.
+    """The event loop: a heap of ``(time, seq, fn, arg)`` entries plus a
+    FIFO "now-queue" of ``(fn, arg)`` entries for the current timestamp.
 
-    All timestamps are nanoseconds. Events scheduled at equal times fire
+    All timestamps are nanoseconds. Entries scheduled at equal times fire
     in FIFO order of scheduling: heap entries that matured to the current
     timestamp were necessarily scheduled before anything appended to the
     now-queue at that timestamp, so draining matured heap entries first
     and the now-queue second reproduces the exact total order a pure
-    (time, tiebreak) heap would give, while zero-delay traffic — the bulk
-    of all events — never touches the heap.
+    ``(time, seq)`` heap would give, while zero-delay traffic — the bulk
+    of all entries — never touches the heap.
+
+    A daemon entry is queued as ``(self._daemon, (fn, arg))``; the
+    simulator counts how many are queued, so "only daemons remain" is
+    one comparison, made only when the next entry is a daemon.
     """
 
     def __init__(self):
         self.now: float = 0.0
         self._heap: List = []
         self._now_queue: deque = deque()
-        self._counter = itertools.count()
-        self._active_process: Optional[Process] = None
+        self._seq = itertools.count()
         self._stopped = False
-        self._pending_real = 0   # scheduled non-daemon events
-        self._pool: List[Event] = []   # recycled internal events
+        self._daemons = 0              # queued daemon entries
+        # Bound once: the identity marks an entry as a daemon entry.
+        self._daemon = self._run_daemon
         self.events_processed = 0      # lifetime dispatch count
+
+    @property
+    def _pending_real(self) -> int:
+        """Queued non-daemon entries."""
+        return len(self._heap) + len(self._now_queue) - self._daemons
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule_at(self, when: float, event: Event) -> None:
-        if not event.daemon:
-            self._pending_real += 1
+    def _run_daemon(self, entry) -> None:
+        self._daemons -= 1
+        fn, arg = entry
+        fn(arg)
+
+    def _schedule(self, when: float, fn: Callable, arg: Any,
+                  daemon: bool = False) -> None:
+        """Schedule ``fn(arg)`` at ``when``: on the now-queue if that is
+        the current timestamp, else on the heap."""
+        if daemon:
+            self._daemons += 1
+            fn, arg = self._daemon, (fn, arg)
         if when <= self.now:
-            if when < self.now:
-                raise SimulationError("time went backwards")
-            self._now_queue.append(event)
+            self._now_queue.append((fn, arg))
         else:
-            heapq.heappush(self._heap, (when, next(self._counter), event))
-
-    def _queue_event(self, event: Event) -> None:
-        """Queue an already-triggered event for callback delivery *now*."""
-        if not event.daemon:
-            self._pending_real += 1
-        self._now_queue.append(event)
-
-    def _pooled_event(self) -> Event:
-        """An internal one-callback event from the free list.
-
-        Pooled events never escape the kernel: their ``callbacks`` stays
-        ``None`` (they dispatch through the ``_cb`` slot instead) and
-        they return to the pool right after delivery.
-        """
-        pool = self._pool
-        if pool:
-            return pool.pop()
-        event = Event.__new__(Event)
-        event.sim = self
-        event.callbacks = None
-        event._triggered = True
-        event._ok = True
-        event.value = None
-        event.daemon = False
-        event._pooled = True
-        return event
-
-    def _schedule_resume(self, process: Process, when: float,
-                         value: Any = None, ok: bool = True) -> None:
-        """Resume ``process`` at ``when`` through a pooled event (the
-        bare-delay / already-processed-event fast path)."""
-        event = self._pooled_event()
-        event._ok = ok
-        event.value = value
-        event.daemon = False
-        event._cb = process._resume_cb
-        process._waiting_on = event
-        self._pending_real += 1
-        if when <= self.now:
-            self._now_queue.append(event)
-        else:
-            heapq.heappush(self._heap, (when, next(self._counter), event))
+            heapq.heappush(self._heap, (when, next(self._seq), fn, arg))
 
     def call_later(self, delay: float, fn: Callable[[], None],
                    daemon: bool = False) -> None:
         """Run ``fn()`` after ``delay`` ns without spawning a process.
 
         The bookkeeping fast path: credit returns, in-flight packet
-        delivery, and similar fire-and-forget actions cost one pooled
-        event instead of a process + generator + completion event. ``fn``
+        delivery, and similar fire-and-forget actions cost one queue
+        entry instead of a process + generator + completion event. ``fn``
         must not yield; it runs synchronously at dispatch time.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        event = self._pooled_event()
-        event._ok = True
-        event.value = fn
-        event.daemon = daemon
-        event._cb = _run_deferred
-        if not daemon:
-            self._pending_real += 1
-        when = self.now + delay
-        if when <= self.now:
-            self._now_queue.append(event)
-        else:
-            heapq.heappush(self._heap, (when, next(self._counter), event))
+        self._schedule(self.now + delay, _call, fn, daemon)
 
     # -- public factory helpers -----------------------------------------
 
@@ -502,11 +480,11 @@ class Simulator:
 
     @staticmethod
     def delay(ns: float) -> float:
-        """A coalesced fixed delay for the pooled fast path.
+        """A coalesced fixed delay for the bare-delay fast path.
 
         ``yield sim.delay(a + b)`` is the idiom for back-to-back fixed
-        delays that used to be separate ``timeout`` yields: one pooled
-        event replaces N Timeout objects, and simulated time is identical
+        delays that used to be separate ``timeout`` yields: one queue
+        entry replaces N Timeout objects, and simulated time is identical
         because nothing observable happens between the legs. Returns the
         bare number — the kernel's resume path does the rest.
         """
@@ -525,6 +503,18 @@ class Simulator:
         """
         return Process(self, generator, name=name, daemon=daemon)
 
+    def spawn(self, generator: Generator, name: str = "",
+              daemon: bool = False) -> None:
+        """Start a fire-and-forget process that nobody waits for.
+
+        Identical to :meth:`process` except that a successful return
+        queues no completion event: with no handle, nothing can wait on
+        it, so that event would dispatch to no callbacks. A spawned
+        process that raises still queues its failed completion, which
+        :meth:`run` re-raises exactly as for :meth:`process`.
+        """
+        Process(self, generator, name=name, daemon=daemon)._spawned = True
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Composite event firing when any child event fires."""
         return AnyOf(self, events)
@@ -538,99 +528,68 @@ class Simulator:
         self._stopped = True
 
     # -- the event loop --------------------------------------------------
-
-    def _next_when(self) -> float:
-        """Timestamp of the next event to dispatch (heap or now-queue)."""
-        if self._heap and self._heap[0][0] <= self.now:
-            return self.now
-        if self._now_queue:
-            return self.now
-        return self._heap[0][0]
-
-    def _dispatch(self, event: Event) -> None:
-        if not event.daemon:
-            self._pending_real -= 1
-        self.events_processed += 1
-        if event._pooled:
-            event._cb(event)
-            if len(self._pool) < _POOL_LIMIT:
-                event.value = None
-                self._pool.append(event)
-            return
-        callbacks = event.callbacks
-        event.callbacks = None  # marks the event as fully processed
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        elif not event._ok:
-            # A failed event nobody waited for: surface it.
-            raise event.value
+    #
+    # One dispatch rule everywhere: pop the heap head if it has matured
+    # to ``now``, else the now-queue head, else advance ``now`` to the
+    # heap head; then call ``fn(arg)``. ``run`` and ``run_window`` inline
+    # it (local bindings cut attribute lookups on the hottest loop in the
+    # repository); ``_step`` is the one-entry form.
 
     def _step(self) -> None:
         heap = self._heap
         if heap and heap[0][0] <= self.now:
-            # Matured heap entries predate anything in the now-queue.
-            event = heapq.heappop(heap)[2]
+            _when, _seq, fn, arg = heapq.heappop(heap)
         elif self._now_queue:
-            event = self._now_queue.popleft()
+            fn, arg = self._now_queue.popleft()
         else:
-            when, _tiebreak, event = heapq.heappop(heap)
-            if when < self.now:
-                raise SimulationError("time went backwards")
-            self.now = when
-        self._dispatch(event)
+            self.now, _seq, fn, arg = heapq.heappop(heap)
+        self.events_processed += 1
+        fn(arg)
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the heap drains, ``until`` is reached, or :meth:`stop`.
+        """Run until the queues drain, ``until`` is reached, or :meth:`stop`.
 
-        Daemon events alone do not sustain the run: once no non-daemon
-        event remains, the run ends as if the heap had drained.
+        Daemon entries alone do not sustain the run: once only daemon
+        entries remain, the run ends as if the queues had drained.
+        ``until`` earlier than ``now`` is an error (the clock never runs
+        backwards).
 
         Returns the simulated time at which the run ended.
         """
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"run(until={until}) is earlier than now={self.now}")
         self._stopped = False
-        # The dispatch loop is inlined (vs. calling _step per event):
-        # local bindings of the heap, now-queue, and pool cut attribute
-        # lookups on the hottest path in the repository.
         heap = self._heap
         nowq = self._now_queue
         pop = heapq.heappop
-        pool = self._pool
+        popleft = nowq.popleft
+        daemon = self._daemon
         processed = 0
         try:
-            while not self._stopped and self._pending_real > 0:
+            while not self._stopped:
                 if heap and heap[0][0] <= self.now:
-                    event = pop(heap)[2]
+                    _when, _seq, fn, arg = heap[0]
+                    if fn is daemon and self._daemons == len(heap) + len(nowq):
+                        break   # only daemon entries remain
+                    pop(heap)
                 elif nowq:
-                    event = nowq.popleft()
+                    fn, arg = nowq[0]
+                    if fn is daemon and self._daemons == len(heap) + len(nowq):
+                        break
+                    popleft()
                 elif heap:
-                    when = heap[0][0]
+                    when, _seq, fn, arg = heap[0]
                     if until is not None and when > until:
-                        self.now = until
-                        return self.now
+                        break
+                    if fn is daemon and self._daemons == len(heap):
+                        break
                     self.now = when
-                    event = pop(heap)[2]
+                    pop(heap)
                 else:
                     break
-                if not event.daemon:
-                    self._pending_real -= 1
                 processed += 1
-                if event._pooled:
-                    event._cb(event)
-                    if len(pool) < _POOL_LIMIT:
-                        event.value = None
-                        pool.append(event)
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                elif not event._ok:
-                    raise event.value
+                fn(arg)
         finally:
             self.events_processed += processed
         if until is not None and self.now < until:
@@ -672,43 +631,26 @@ class Simulator:
         heap = self._heap
         nowq = self._now_queue
         pop = heapq.heappop
-        pool = self._pool
+        popleft = nowq.popleft
+        daemon = self._daemon
         processed = 0
         last_real = None
         try:
             while True:
                 if heap and heap[0][0] <= self.now:
-                    event = pop(heap)[2]
+                    _when, _seq, fn, arg = pop(heap)
                 elif nowq:
-                    event = nowq.popleft()
+                    fn, arg = popleft()
                 elif heap:
-                    when = heap[0][0]
-                    if when >= bound:
+                    if heap[0][0] >= bound:
                         break
-                    self.now = when
-                    event = pop(heap)[2]
+                    self.now, _seq, fn, arg = pop(heap)
                 else:
                     break
-                if not event.daemon:
-                    self._pending_real -= 1
-                    last_real = self.now
                 processed += 1
-                if event._pooled:
-                    event._cb(event)
-                    if len(pool) < _POOL_LIMIT:
-                        event.value = None
-                        pool.append(event)
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                elif not event._ok:
-                    raise event.value
+                if fn is not daemon:
+                    last_real = self.now
+                fn(arg)
         finally:
             self.events_processed += processed
         return last_real, processed
@@ -733,7 +675,8 @@ class Simulator:
                     f"deadlock: only daemon events remain but "
                     f"{process.name!r} has not completed"
                 )
-            if self._next_when() > limit:
+            if (not self._now_queue
+                    and max(self._heap[0][0], self.now) > limit):
                 raise SimulationError(
                     f"simulation exceeded time limit {limit} ns"
                 )

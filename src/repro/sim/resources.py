@@ -9,15 +9,19 @@ Three primitives cover every queueing structure in the soNUMA model:
 * :class:`Channel` — a latency + bandwidth pipe (items appear at the far
   end after serialization + propagation delay). Used for fabric links.
 
-All waiting is expressed as events, so processes compose them freely with
-timeouts via :meth:`Simulator.any_of`.
+``Store.get()`` always returns an event, so processes compose it freely
+with timeouts via :meth:`Simulator.any_of`. ``Store.put()`` and
+``Resource.acquire()`` return an event only when the caller must wait;
+when they succeed at once they return the bare ``0``, which the caller
+yields like any delay (``yield store.put(item)``,
+``yield res.acquire()``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Any, Deque, Optional
+from typing import Any, Deque, Optional, Union
 
 from .engine import Event, Simulator
 
@@ -27,9 +31,9 @@ __all__ = ["Store", "Resource", "Channel"]
 class Store:
     """FIFO item buffer with optional capacity.
 
-    ``put(item)`` returns an event that fires when the item has been
-    accepted (immediately if below capacity). ``get()`` returns an event
-    that fires with the next item in FIFO order.
+    ``yield store.put(item)`` waits until the item has been accepted;
+    ``get()`` returns an event that fires with the next item in FIFO
+    order.
     """
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None,
@@ -52,19 +56,19 @@ class Store:
     def is_full(self) -> bool:
         return self.capacity is not None and len(self.items) >= self.capacity
 
-    def put(self, item: Any) -> Event:
-        """Offer an item; the returned event fires once it is enqueued."""
+    def put(self, item: Any) -> Union[Event, int]:
+        """Offer an item; yield the result to wait until it is accepted.
+
+        An item the store takes at once (handed to the oldest waiting
+        consumer, or enqueued below capacity) returns the bare ``0``: see
+        :meth:`Resource.acquire` for why yielding it resumes the caller
+        exactly where a triggered event would. A full store returns an
+        event that fires once a ``get`` makes room (FIFO).
+        """
+        if self.try_put(item):
+            return 0
         event = self.sim.event()
-        if self._getters:
-            # Hand the item straight to the oldest waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif not self.is_full:
-            self._enqueue(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
+        self._putters.append((event, item))
         return event
 
     def try_put(self, item: Any) -> bool:
@@ -111,9 +115,9 @@ class Store:
 class Resource:
     """Counting semaphore with FIFO grant order.
 
-    ``acquire()`` returns an event that fires when a slot is granted;
-    ``release()`` frees a slot. Used to bound concurrency (e.g. the RMC's
-    32-entry MAQ limits in-flight memory accesses).
+    ``yield res.acquire()`` waits until a slot is granted; ``release()``
+    frees a slot. Used to bound concurrency (e.g. the RMC's 32-entry MAQ
+    limits in-flight memory accesses).
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = ""):
@@ -131,13 +135,20 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self.in_use
 
-    def acquire(self) -> Event:
-        """Request a slot; the returned event fires when granted."""
+    def acquire(self) -> Union[Event, int]:
+        """Request a slot; yield the result to wait for the grant.
+
+        A free slot is granted at once and returned as the bare ``0``.
+        Yielding it appends the caller's resume to the now-queue, at the
+        position a grant event triggered here would have taken, because
+        every caller yields the result straight away and nothing is
+        queued in between; no :class:`Event` is allocated. Otherwise the
+        returned event fires when ``release()`` grants the slot (FIFO).
+        """
+        if self.try_acquire():
+            return 0
         event = self.sim.event()
-        if self.in_use < self.capacity and not self._waiters:
-            self._grant(event)
-        else:
-            self._waiters.append(event)
+        self._waiters.append(event)
         return event
 
     def try_acquire(self) -> bool:
@@ -145,7 +156,8 @@ class Resource:
         if self.in_use < self.capacity and not self._waiters:
             self.in_use += 1
             self.total_acquires += 1
-            self.peak_in_use = max(self.peak_in_use, self.in_use)
+            if self.in_use > self.peak_in_use:
+                self.peak_in_use = self.in_use
             return True
         return False
 
@@ -155,14 +167,10 @@ class Resource:
             raise RuntimeError(f"resource {self.name!r}: release without acquire")
         self.in_use -= 1
         if self._waiters:
-            self._grant(self._waiters.popleft())
-
-    def _grant(self, event: Event) -> None:
-        self.in_use += 1
-        self.total_acquires += 1
-        if self.in_use > self.peak_in_use:
-            self.peak_in_use = self.in_use
-        event.succeed()
+            # The freed slot passes straight to the oldest waiter.
+            self.in_use += 1
+            self.total_acquires += 1
+            self._waiters.popleft().succeed()
 
 
 class Channel:

@@ -4,13 +4,13 @@ soNUMA operates at **cache-line granularity** (64 B) over **8 KB pages**
 (Table 1 of the paper). Remote addresses are named by the triple
 ``<node_id, ctx_id, offset>``; this module provides the arithmetic for
 splitting/joining addresses, alignment, and line/page iteration used by
-the RMC's unrolling logic and the page-table walker.
+the RMC's unrolling logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 __all__ = [
     "CACHE_LINE_SIZE",
@@ -26,7 +26,6 @@ __all__ = [
     "page_number",
     "page_offset",
     "lines_in_range",
-    "split_page_indices",
     "RemoteAddress",
 ]
 
@@ -39,7 +38,8 @@ PAGE_SIZE = 8192
 #: Bits of page offset (8 KB pages).
 PAGE_OFFSET_BITS = 13
 
-#: Radix page-table levels walked by the RMC's hardware page walker.
+#: Radix page-table levels walked (and charged) by the RMC's hardware
+#: page walker.
 PT_LEVELS = 4
 
 #: Index bits per level: 4 levels x 9 bits + 13 offset bits = 49-bit VA.
@@ -90,16 +90,6 @@ def lines_in_range(addr: int, length: int) -> List[int]:
     first = line_align_down(addr)
     last = line_align_down(addr + length - 1)
     return list(range(first, last + CACHE_LINE_SIZE, CACHE_LINE_SIZE))
-
-
-def split_page_indices(vaddr: int) -> Tuple[int, ...]:
-    """Per-level page-table indices for a virtual address (root first)."""
-    vpn = page_number(vaddr)
-    indices = []
-    for level in range(PT_LEVELS):
-        shift = (PT_LEVELS - 1 - level) * PT_LEVEL_BITS
-        indices.append((vpn >> shift) & ((1 << PT_LEVEL_BITS) - 1))
-    return tuple(indices)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Radix page tables and the hardware page walker.
+"""Page tables and the hardware page walker.
 
 The RMC has "direct access to the page tables managed by the operating
-system" (paper §5.1) — no page-table replication into device memory. We
-model a 4-level radix table. The *structure* is a real radix tree (so the
-walker's per-level touch count is faithful), while the node storage is
-Python dicts rather than in-simulated-memory arrays; the walker charges
-one memory access per level for timing.
+system" (paper §5.1) — no page-table replication into device memory. The
+*timing* is that of a 4-level radix table: the walker charges one memory
+access per level. The *storage* is one flat ``{vpn: PTE}`` dict per
+address space. The walker never needs the tree's shape, because the
+level count it charges is a constant: a lookup that succeeds visits all
+:data:`~repro.vm.address.PT_LEVELS` levels, and a lookup that fails
+raises :class:`PageFault` before the walker charges any level.
 
 Translation faults raise :class:`PageFault`; the RMC's RRPP turns
 out-of-segment accesses into error replies before ever reaching the page
@@ -18,12 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
-from .address import (
-    PAGE_SIZE,
-    PT_LEVELS,
-    page_offset,
-    split_page_indices,
-)
+from .address import PAGE_OFFSET_BITS, PAGE_SIZE, PT_LEVELS
 
 __all__ = ["PageTable", "PageTableEntry", "PageFault", "PageWalker"]
 
@@ -56,93 +53,72 @@ class PageTableEntry:
 
 
 class PageTable:
-    """A 4-level radix page table for one address space (ASID)."""
+    """The page table of one address space (ASID): one ``{vpn: PTE}``
+    dict, timed by :class:`PageWalker` as a 4-level radix walk."""
 
     def __init__(self, asid: int):
         self.asid = asid
-        self._root: Dict = {}
-        self.mapped_pages = 0
+        self._ptes: Dict[int, PageTableEntry] = {}
+
+    @property
+    def mapped_pages(self) -> int:
+        """Number of pages with a valid mapping."""
+        return len(self._ptes)
 
     def map(self, vaddr: int, frame_paddr: int, writable: bool = True,
             pinned: bool = False) -> PageTableEntry:
         """Install a leaf mapping for the page containing ``vaddr``."""
         if vaddr % PAGE_SIZE != 0:
             raise ValueError(f"map target {vaddr:#x} not page-aligned")
-        node = self._root
-        indices = split_page_indices(vaddr)
-        for index in indices[:-1]:
-            node = node.setdefault(index, {})
-        leaf_index = indices[-1]
-        if leaf_index in node:
+        vpn = vaddr >> PAGE_OFFSET_BITS
+        if vpn in self._ptes:
             raise ValueError(f"page {vaddr:#x} already mapped")
         pte = PageTableEntry(frame_paddr, writable=writable, pinned=pinned)
-        node[leaf_index] = pte
-        self.mapped_pages += 1
+        self._ptes[vpn] = pte
         return pte
 
     def unmap(self, vaddr: int) -> None:
-        """Remove the mapping for the page containing ``vaddr``."""
-        node = self._root
-        indices = split_page_indices(vaddr)
-        for index in indices[:-1]:
-            if index not in node:
-                raise PageFault(vaddr, self.asid)
-            node = node[index]
-        if indices[-1] not in node:
-            raise PageFault(vaddr, self.asid)
-        pte = node.pop(indices[-1])
-        if pte.pinned:
-            raise ValueError(f"cannot unmap pinned page {vaddr:#x}")
-        self.mapped_pages -= 1
+        """Remove the mapping for the page containing ``vaddr``.
 
-    def lookup(self, vaddr: int) -> Tuple[PageTableEntry, int]:
-        """Walk the radix tree; returns (pte, levels_touched).
-
-        ``levels_touched`` is the number of tree nodes visited, which the
-        timed :class:`PageWalker` converts into memory accesses.
+        A pinned page stays mapped: the ``ValueError`` leaves the table
+        unchanged.
         """
-        node = self._root
-        levels = 0
-        indices = split_page_indices(vaddr)
-        for index in indices[:-1]:
-            levels += 1
-            if index not in node:
-                raise PageFault(vaddr, self.asid)
-            node = node[index]
-        levels += 1
-        pte = node.get(indices[-1])
+        vpn = vaddr >> PAGE_OFFSET_BITS
+        pte = self._ptes.get(vpn)
         if pte is None:
             raise PageFault(vaddr, self.asid)
-        return pte, levels
+        if pte.pinned:
+            raise ValueError(f"cannot unmap pinned page {vaddr:#x}")
+        del self._ptes[vpn]
+
+    def lookup(self, vaddr: int) -> Tuple[PageTableEntry, int]:
+        """Returns (pte, levels_touched) for the page of ``vaddr``.
+
+        ``levels_touched`` is the number of radix levels a hardware walk
+        visits, which the timed :class:`PageWalker` converts into memory
+        accesses; it is always :data:`PT_LEVELS`.
+        """
+        pte = self._ptes.get(vaddr >> PAGE_OFFSET_BITS)
+        if pte is None:
+            raise PageFault(vaddr, self.asid)
+        return pte, PT_LEVELS
 
     def translate(self, vaddr: int) -> int:
         """Virtual-to-physical translation (functional, untimed)."""
-        pte, _levels = self.lookup(vaddr)
-        return pte.frame_paddr + page_offset(vaddr)
+        pte = self._ptes.get(vaddr >> PAGE_OFFSET_BITS)
+        if pte is None:
+            raise PageFault(vaddr, self.asid)
+        return pte.frame_paddr + (vaddr & (PAGE_SIZE - 1))
 
     def is_mapped(self, vaddr: int) -> bool:
         """Whether the page containing ``vaddr`` has a valid mapping."""
-        try:
-            self.lookup(vaddr)
-            return True
-        except PageFault:
-            return False
+        return (vaddr >> PAGE_OFFSET_BITS) in self._ptes
 
     def iter_mappings(self) -> Iterator[Tuple[int, PageTableEntry]]:
-        """Yield (vaddr, pte) for every mapped page (test/debug aid)."""
-
-        def walk(node: Dict, prefix: int, level: int):
-            from .address import PT_LEVEL_BITS, PAGE_OFFSET_BITS
-            for index, child in sorted(node.items()):
-                vpn_part = prefix | (
-                    index << ((PT_LEVELS - 1 - level) * PT_LEVEL_BITS)
-                )
-                if level == PT_LEVELS - 1:
-                    yield vpn_part << PAGE_OFFSET_BITS, child
-                else:
-                    yield from walk(child, vpn_part, level + 1)
-
-        yield from walk(self._root, 0, 0)
+        """Yield (vaddr, pte) for every mapped page in address order
+        (test/debug aid)."""
+        for vpn in sorted(self._ptes):
+            yield vpn << PAGE_OFFSET_BITS, self._ptes[vpn]
 
 
 class PageWalker:

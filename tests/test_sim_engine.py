@@ -358,3 +358,168 @@ def test_call_later_daemon_does_not_sustain_run():
     sim.run()
     assert sim.now == pytest.approx(3.0)
     assert fired == []
+
+
+# -- spawn(): fire-and-forget processes without a completion event --------
+
+
+def _staged_run(start):
+    """Run a driver that starts three stage processes through ``start``
+    while a peer acts at the same instants; return the (time, tag) log,
+    the dispatched-event count and the end time."""
+    sim = Simulator()
+    log = []
+
+    def stage(tag):
+        for delay in (0, 1.0, 0):
+            log.append((sim.now, tag))
+            yield delay
+        log.append((sim.now, tag, "done"))
+
+    def driver(sim):
+        for i in range(3):
+            start(sim, stage(f"s{i}"))
+            log.append((sim.now, "driver"))
+            yield 0
+        yield 1.0
+        log.append((sim.now, "driver", "done"))
+
+    def peer(sim):
+        for _ in range(5):
+            log.append((sim.now, "peer"))
+            yield 0.5
+
+    sim.process(driver(sim))
+    sim.process(peer(sim))
+    sim.run()
+    return log, sim.events_processed, sim.now
+
+
+def test_spawn_drops_only_the_completion_event():
+    """Each spawned process that returns dispatches exactly one event
+    fewer than process(); every other event keeps its time and order."""
+    log_p, events_p, end_p = _staged_run(lambda sim, g: sim.process(g))
+    log_s, events_s, end_s = _staged_run(lambda sim, g: sim.spawn(g))
+    assert log_s == log_p
+    assert end_s == end_p
+    assert events_s == events_p - 3
+
+
+def test_spawn_returns_no_handle():
+    sim = Simulator()
+
+    def stage(sim):
+        yield 1.0
+
+    assert sim.spawn(stage(sim)) is None
+    sim.run()
+    assert sim.events_processed == 2   # start + the 1 ns wake
+
+
+def test_spawned_exception_aborts_run():
+    def boom(sim):
+        yield 2.0
+        raise RuntimeError("spawned stage failed")
+
+    for start in (Simulator.process, Simulator.spawn):
+        sim = Simulator()
+        start(sim, boom(sim))
+        with pytest.raises(RuntimeError, match="spawned stage failed"):
+            sim.run()
+        assert sim.now == pytest.approx(2.0)
+
+
+def test_spawned_daemon_does_not_sustain_run():
+    sim = Simulator()
+
+    def watchdog(sim):
+        yield sim.timeout(100, daemon=True)
+
+    def work(sim):
+        yield 3.0
+
+    sim.spawn(watchdog(sim), daemon=True)
+    sim.process(work(sim))
+    sim.run()
+    assert sim.now == pytest.approx(3.0)
+
+
+def test_spawned_last_work_ends_run_before_same_instant_daemons():
+    """The one documented difference: when a spawned stage's return is
+    the run's last real work, a daemon callback due at that instant no
+    longer runs first (the dropped completion kept the run alive)."""
+    for start, daemon_ran in ((Simulator.process, True),
+                              (Simulator.spawn, False)):
+        sim = Simulator()
+        fired = []
+
+        def stage(sim):
+            yield 5.0
+
+        def arm(sim):
+            yield 0
+            sim.call_later(5.0, lambda: fired.append(sim.now), daemon=True)
+
+        start(sim, stage(sim))
+        sim.process(arm(sim))
+        sim.run()
+        assert sim.now == pytest.approx(5.0)
+        assert fired == ([5.0] if daemon_ran else [])
+
+
+# -- queue entries: daemon counting, windows, the clock ----------------------
+
+
+def test_run_stops_when_only_daemon_entries_remain():
+    """Daemon entries on the heap and on the now-queue do not sustain the
+    run; they stay queued and a later run still sees them."""
+    sim = Simulator()
+    fired = []
+
+    def work(sim):
+        yield 2.0
+        sim.call_later(0, lambda: fired.append(("now", sim.now)), daemon=True)
+        sim.call_later(5.0, lambda: fired.append(("heap", sim.now)),
+                       daemon=True)
+
+    sim.spawn(work(sim))   # its return queues no real completion entry
+    assert sim.run() == 2.0
+    assert fired == []
+    assert sim._pending_real == 0
+    assert sim.peek_next_event_time() == 2.0
+    # Real work behind the daemons lets them dispatch in time order.
+    sim.call_later(6.0, lambda: fired.append(("real", sim.now)))
+    assert sim.run() == 8.0
+    assert fired == [("now", 2.0), ("heap", 7.0), ("real", 8.0)]
+
+
+def test_run_passes_daemons_queued_before_real_work():
+    sim = Simulator()
+    fired = []
+    sim.call_later(1.0, lambda: fired.append("daemon"), daemon=True)
+    sim.call_later(1.0, lambda: fired.append("real"))
+    sim.call_later(1.0, lambda: fired.append("late daemon"), daemon=True)
+    assert sim.run() == 1.0
+    assert fired == ["daemon", "real"]
+
+
+def test_run_window_last_real_ignores_daemons():
+    sim = Simulator()
+    sim.call_later(1.0, lambda: None)
+    sim.call_later(3.0, lambda: None, daemon=True)
+    assert sim.run_window(5.0) == (1.0, 2)
+    assert sim.now == 3.0
+    sim.call_later(1.0, lambda: None, daemon=True)
+    assert sim.run_window(10.0) == (None, 1)
+
+
+def test_run_until_earlier_than_now_raises():
+    """Regression: run(until=t) with t < now used to rewind the clock."""
+    sim = Simulator()
+    sim.call_later(20.0, lambda: None)
+    assert sim.run(until=15) == 15.0
+    with pytest.raises(ValueError, match="earlier than now"):
+        sim.run(until=5)
+    assert sim.now == 15.0
+    assert sim.run(until=15) == 15.0
+    assert sim.run() == 20.0

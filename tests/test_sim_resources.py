@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Channel, Resource, Simulator, Store
+from repro.sim import Channel, Event, Resource, Simulator, Store
 
 
 class TestStore:
@@ -94,6 +94,44 @@ class TestStore:
             Store(sim, capacity=0)
 
 
+    def test_immediate_put_allocates_no_event(self):
+        sim = Simulator()
+        store = Store(sim, capacity=1)
+        assert store.put("a") == 0
+        waiting = store.put("b")
+        assert isinstance(waiting, Event) and not waiting.triggered
+        assert list(store.items) == ["a"]
+
+    def test_immediate_put_resumes_after_an_earlier_competitor(self):
+        """``yield store.put(x)`` that succeeds at once resumes where a
+        triggered put event would: after a process already due at the
+        same instant, and after the getter it hands the item to."""
+        sim = Simulator()
+        store = Store(sim)
+        log = []
+
+        def getter(sim):
+            item = yield store.get()
+            log.append((sim.now, "got " + item))
+
+        def putter(sim):
+            yield 1.0
+            yield store.put("x")
+            log.append((sim.now, "put done"))
+
+        def competitor(sim):
+            yield 1.0
+            log.append((sim.now, "competitor"))
+            yield 0
+            log.append((sim.now, "competitor again"))
+
+        for proc in (getter, putter, competitor):
+            sim.process(proc(sim))
+        sim.run()
+        assert log == [(1.0, "competitor"), (1.0, "got x"), (1.0, "put done"),
+                       (1.0, "competitor again")]
+
+
 class TestResource:
     def test_acquire_release_cycle(self):
         sim = Simulator()
@@ -147,6 +185,87 @@ class TestResource:
             sim.process(worker(sim, tag))
         sim.run()
         assert grants == [0, 1, 2, 3, 4]
+
+
+    def test_immediate_grant_allocates_no_event(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        assert res.acquire() == 0
+        assert res.in_use == 1 and res.total_acquires == 1
+        waiting = res.acquire()
+        assert isinstance(waiting, Event) and not waiting.triggered
+
+    @staticmethod
+    def _same_instant_run(grant):
+        """Process ``a`` takes a free slot through ``grant`` at t=1 while
+        ``b`` acts at the same instant; returns the (time, tag) log and
+        the dispatched-event count."""
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def a(sim):
+            yield 1.0
+            yield grant(sim, res)
+            log.append((sim.now, "a granted"))
+            yield 0
+            log.append((sim.now, "a next"))
+
+        def b(sim):
+            yield 1.0
+            log.append((sim.now, "b"))
+            yield 0
+            log.append((sim.now, "b again"))
+
+        sim.process(a(sim))
+        sim.process(b(sim))
+        sim.run()
+        return log, sim.events_processed
+
+    def test_immediate_grant_keeps_the_triggered_event_position(self):
+        """Yielding the bare-0 grant resumes at the now-queue position a
+        pre-triggered grant event takes: after ``b``, which was already
+        due at t=1, and before ``b``'s own zero-delay yield."""
+
+        def pre_triggered(sim, res):
+            assert res.try_acquire()
+            return sim.event().succeed()
+
+        immediate = self._same_instant_run(
+            lambda sim, res: res.acquire())
+        assert immediate == self._same_instant_run(pre_triggered)
+        assert immediate[0] == [(1.0, "b"), (1.0, "a granted"),
+                                (1.0, "b again"), (1.0, "a next")]
+
+    def test_contended_grants_are_fifo_at_release_time(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def holder(sim):
+            yield res.acquire()
+            yield 5.0
+            res.release()
+            log.append((sim.now, "released"))
+            yield 0
+            log.append((sim.now, "holder after"))
+
+        def waiter(sim, tag):
+            grant = res.acquire()
+            assert isinstance(grant, Event)
+            yield grant
+            log.append((sim.now, tag))
+            yield 1.0
+            res.release()
+
+        sim.process(holder(sim))
+        for tag in ("w1", "w2"):
+            sim.process(waiter(sim, tag))
+        sim.run()
+        assert log == [(5.0, "released"), (5.0, "w1"),
+                       (5.0, "holder after"), (6.0, "w2")]
+        assert res.total_acquires == 3 and res.peak_in_use == 1
+        assert res.in_use == 0
 
 
 class TestChannel:

@@ -1,8 +1,10 @@
 """Timing invariance of the kernel fast paths and hot-path event elision.
 
-The performance work (pooled events, the now-queue, bare-number yields,
-``call_later`` elision, coalesced pipeline delays) must not move a
-single simulated timestamp. These tests pin *exact float equality*
+The performance work (action-carrying queue entries, the now-queue,
+bare-number yields, daemon counting, ``spawn``-ed stages, immediate
+grants and puts, ``call_later`` elision, coalesced pipeline delays,
+one access per copied span) must not move a single simulated
+timestamp. These tests pin *exact float equality*
 against golden values captured at the pre-optimization revision
 (commit b29c655) on two end-to-end workloads:
 

@@ -22,6 +22,7 @@ from repro.vm import (
     page_number,
     page_offset,
 )
+from repro.vm.address import PT_LEVELS
 
 
 class TestAddressHelpers:
@@ -266,11 +267,24 @@ class TestPageTable:
         with pytest.raises(ValueError):
             pt.unmap(0x10000000)
 
+    def test_pinned_unmap_leaves_the_mapping(self):
+        """Regression: a refused unmap of a pinned page used to remove the
+        mapping before raising, leaving ``mapped_pages`` counting a page
+        that no longer translated."""
+        pt, alloc = self._make()
+        frame = alloc.alloc_frame()
+        pt.map(0x10000000, frame, pinned=True)
+        with pytest.raises(ValueError, match="cannot unmap pinned page"):
+            pt.unmap(0x10000000 + 40)
+        assert pt.is_mapped(0x10000000)
+        assert pt.translate(0x10000000 + 40) == frame + 40
+        assert pt.mapped_pages == 1
+
     def test_lookup_reports_levels(self):
         pt, alloc = self._make()
         pt.map(0x10000000, alloc.alloc_frame())
         _pte, levels = pt.lookup(0x10000000)
-        assert levels == 4
+        assert levels == PT_LEVELS == 4
 
     @given(pages=st.lists(st.integers(min_value=0, max_value=2**20),
                           min_size=1, max_size=32, unique=True))
@@ -299,7 +313,123 @@ class TestPageTable:
         assert seen == expected
 
 
+def _same_fault(fn, reference):
+    """Run ``fn`` and ``reference``; both return equal values or both
+    raise the same exception type with the same message."""
+    try:
+        expected = reference()
+    except (PageFault, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            fn()
+        assert str(raised.value) == str(exc)
+        return
+    assert fn() == expected
+
+
+#: Virtual page numbers the property test draws from: a few low pages and
+#: the top of the 49-bit virtual address space, so that operations
+#: collide on the same page often.
+_VPNS = st.one_of(st.integers(min_value=0, max_value=5),
+                  st.integers(min_value=2**36 - 3, max_value=2**36 - 1))
+
+
+class TestPageTableProperty:
+    """The flat page table against a plain ``{vpn: PTE fields}`` dict."""
+
+    ASID = 3
+
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(["map", "unmap", "lookup", "translate",
+                                   "is_mapped"]),
+                  _VPNS,
+                  st.sampled_from([0, 0, 0, 17, PAGE_SIZE - 1]),
+                  st.integers(min_value=0, max_value=7),
+                  st.booleans(), st.booleans()),
+        min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_dict(self, ops):
+        pt = PageTable(asid=self.ASID)
+        ref = {}
+
+        def fault(vaddr):
+            return PageFault(vaddr, self.ASID)
+
+        for kind, vpn, offset, frame_no, writable, pinned in ops:
+            vaddr = vpn * PAGE_SIZE + offset
+            if kind == "map":
+                # Frame 7 is misaligned: PTE construction rejects it.
+                frame = frame_no * PAGE_SIZE + (3 if frame_no == 7 else 0)
+
+                def reference():
+                    if vaddr % PAGE_SIZE:
+                        raise ValueError(
+                            f"map target {vaddr:#x} not page-aligned")
+                    if vpn in ref:
+                        raise ValueError(f"page {vaddr:#x} already mapped")
+                    if frame % PAGE_SIZE:
+                        raise ValueError(
+                            f"frame {frame:#x} not page-aligned")
+                    ref[vpn] = (frame, writable, pinned)
+                    return ref[vpn]
+
+                def flat():
+                    pte = pt.map(vaddr, frame, writable=writable,
+                                 pinned=pinned)
+                    return pte.frame_paddr, pte.writable, pte.pinned
+                _same_fault(flat, reference)
+            elif kind == "unmap":
+                def reference():
+                    if vpn not in ref:
+                        raise fault(vaddr)
+                    if ref[vpn][2]:
+                        raise ValueError(
+                            f"cannot unmap pinned page {vaddr:#x}")
+                    del ref[vpn]
+                _same_fault(lambda: pt.unmap(vaddr), reference)
+            elif kind == "lookup":
+                def reference():
+                    if vpn not in ref:
+                        raise fault(vaddr)
+                    return ref[vpn], PT_LEVELS
+
+                def flat():
+                    pte, levels = pt.lookup(vaddr)
+                    return (pte.frame_paddr, pte.writable,
+                            pte.pinned), levels
+                _same_fault(flat, reference)
+            elif kind == "translate":
+                def reference():
+                    if vpn not in ref:
+                        raise fault(vaddr)
+                    return ref[vpn][0] + offset
+                _same_fault(lambda: pt.translate(vaddr), reference)
+            else:
+                assert pt.is_mapped(vaddr) == (vpn in ref)
+            assert pt.mapped_pages == len(ref)
+        assert [(v, (p.frame_paddr, p.writable, p.pinned))
+                for v, p in pt.iter_mappings()] == \
+            [(vpn * PAGE_SIZE, ref[vpn]) for vpn in sorted(ref)]
+
+
 class TestPageWalker:
+    def test_faulting_walk_charges_nothing(self):
+        sim = Simulator()
+        costs = []
+
+        def access():
+            costs.append(sim.now)
+            yield 10
+
+        walker = PageWalker(access)
+
+        def proc(sim):
+            yield from walker.walk(PageTable(asid=1), 0x10000000)
+
+        p = sim.process(proc(sim))
+        with pytest.raises(PageFault):
+            sim.run_until_process(p)
+        assert costs == [] and walker.walks == 0
+
     def test_walk_charges_one_access_per_level(self):
         sim = Simulator()
         costs = []
@@ -319,7 +449,7 @@ class TestPageWalker:
         p = sim.process(proc(sim))
         sim.run()
         assert p.value.frame_paddr == 0
-        assert len(costs) == 4           # 4 levels
+        assert len(costs) == PT_LEVELS == 4
         assert sim.now == pytest.approx(40.0)
         assert walker.walks == 1
         assert walker.levels_touched == 4
